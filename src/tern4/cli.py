@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -78,6 +79,7 @@ def cmd_cdf(args) -> int:
     p = _probvector(args)
     if args.grid < 2:
         raise ValueError("grid needs at least 2 points")
+    measure.cdf(p, 0, args.tol)  # rejects a bad tolerance before any output
     w = _csv_writer()
     w.writerow(["x", "lo", "hi"])
     for j in range(args.grid):
@@ -89,12 +91,14 @@ def cmd_cdf(args) -> int:
 
 def cmd_charfn(args) -> int:
     p = _probvector(args)
-    if args.step <= 0 or args.tmax < 0:
-        raise ValueError("need step > 0 and tmax >= 0")
+    if not (0 < args.step < math.inf and args.tmax >= 0):
+        raise ValueError("need finite step > 0 and tmax >= 0")
+    tmax = args.tmax + 1e-12
+    measure.charfn(p, tmax, args.K)  # rejects bad K and a tmax it cannot bound before any output
     w = _csv_writer()
     w.writerow(["t", "re", "im", "abs", "tail_bound"])
     t = 0.0
-    while t <= args.tmax + 1e-12:
+    while t <= tmax:
         r = measure.charfn(p, t, args.K)
         w.writerow([_dec(t), _dec(r.value.real), _dec(r.value.imag),
                     _dec(abs(r.value)), _dec(r.tail_bound)])
@@ -180,7 +184,10 @@ def cmd_series(args) -> int:
             "n_checked": args.check,
         })
         return 0
-    x = Fraction(args.greedy)
+    try:
+        x = Fraction(args.greedy)
+    except ZeroDivisionError:
+        raise ValueError(f"bad value {args.greedy!r}: zero denominator") from None
     bits = series.greedy_approximate(x, args.nmax)
     if len(bits) % 3:
         bits = bits + (0,) * (3 - len(bits) % 3)  # padding leaves the subsum unchanged
@@ -191,7 +198,9 @@ def cmd_series(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call to `main`."""
     parser = argparse.ArgumentParser(
         prog="tern4",
         description="base-3 numeral system with digits {0,1,2,3}: expansions, "

@@ -12,7 +12,6 @@ how many expansions a number has.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -235,57 +234,66 @@ def cylinder_overlap(base: Sequence[int], i: int) -> Cylinder:
 
 
 # ---------------------------------------------------------------------------
-# admissible prefixes and expansion counts
+# the residual graph: admissible prefixes and expansion counts
+#
+# For x = n/q every residual 3y - c along an expansion is again a multiple of
+# 1/q in [0, 3/2], so a state is an integer numerator over the fixed q.  The
+# expansions of x are the infinite paths from n; every state has an out-edge.
 
-def _digit_span(y: Fraction) -> range:
-    """Digits c with 0 <= 3y - c <= 3/2, i.e. the residual stays representable."""
-    top = 3 * y
-    cmin = max(0, math.ceil(top - TAIL_SUP))
-    cmax = min(MAX_DIGIT, math.floor(top))
-    return range(cmin, cmax + 1)
+def _steps(n: int, q: int) -> list[tuple[int, int]]:
+    """Edges (c, 3n - c*q) from state n that keep the residual in [0, 3/2]."""
+    return [(c, 3 * n - c * q) for c in range(MAX_DIGIT + 1) if 0 <= 2 * (3 * n - c * q) <= 3 * q]
+
+
+def _paths(n: int, q: int, m: int):
+    """Each length-m path from state n as (digit word, end state), in lexicographic order."""
+    if m < 1:
+        yield (), n
+        return
+    word: list[int] = []
+    stack = [iter(_steps(n, q))]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if word:
+                word.pop()
+        elif len(word) + 1 == m:
+            yield (*word, step[0]), step[1]
+        else:
+            word.append(step[0])
+            stack.append(iter(_steps(step[1], q)))
+
+
+def _state(x) -> tuple[int, int]:
+    """Numerator and denominator of x, checked to lie in [0, 3/2]."""
+    x = Fraction(x)
+    if not 0 <= x <= TAIL_SUP:
+        raise ValueError(f"value {x} outside [0, 3/2]")
+    return x.numerator, x.denominator
 
 
 def admissible_prefixes(x, m: int) -> list[tuple[int, ...]]:
     """All length-m words that begin some expansion of x, in lexicographic order."""
-    x = Fraction(x)
-    if not 0 <= x <= TAIL_SUP:
-        raise ValueError(f"value {x} outside [0, 3/2]")
+    n, q = _state(x)
     if m < 1:
         raise ValueError("prefix length must be positive")
-    out: list[tuple[int, ...]] = []
-    word: list[int] = []
-
-    def rec(y: Fraction, depth: int) -> None:
-        if depth == m:
-            out.append(tuple(word))
-            return
-        for c in _digit_span(y):
-            word.append(c)
-            rec(3 * y - c, depth + 1)
-            word.pop()
-
-    rec(x, 0)
-    return out
+    return [word for word, _ in _paths(n, q, m)]
 
 
 def count_expansion_prefixes(x, m: int) -> int:
-    """Number of admissible length-m prefixes of x (memoised, no enumeration)."""
-    x = Fraction(x)
-    if not 0 <= x <= TAIL_SUP:
-        raise ValueError(f"value {x} outside [0, 3/2]")
+    """Number of admissible length-m prefixes of x, counting paths one level at a time."""
+    n, q = _state(x)
     if m < 0:
         raise ValueError("depth must be non-negative")
-    memo: dict[tuple[Fraction, int], int] = {}
-
-    def rec(y: Fraction, rem: int) -> int:
-        if rem == 0:
-            return 1
-        key = (y, rem)
-        if key not in memo:
-            memo[key] = sum(rec(3 * y - c, rem - 1) for c in _digit_span(y))
-        return memo[key]
-
-    return rec(x, m)
+    level = {n: 1}
+    for _ in range(m):
+        nxt: dict[int, int] = {}
+        for s, k in level.items():
+            for _, t in _steps(s, q):
+                nxt[t] = nxt.get(t, 0) + k
+        level = nxt
+    return sum(level.values())
 
 
 # ---------------------------------------------------------------------------
@@ -313,95 +321,87 @@ class ReprCardinality:
             raise ValueError(f"{self.kind.value} carries no count")
 
 
-_STABLE_DEPTH_CAP = 24
-
-
 def classify_cardinality(d: DigitString) -> ReprCardinality:
     """Decide whether the value of d has one, finitely, countably or continuum many expansions.
 
-    Decision on the canonical form: the endpoints 0 and 3/2 are unique; any
-    other one-digit repeating block gives countably many; a repeating block
-    containing a rewritable pair in cyclic reading gives a continuum.  The
-    remaining blocks are words over {1,2} using both digits: there the number
-    of expansions is finite and equals the stabilised count of admissible
-    prefixes.
+    The census is decided exactly from the residual graph of the value, whose
+    infinite paths are its expansions.  Its states, 3**k * x less an integer,
+    number at most 2 * (len(preperiod) + len(period)).  One iterative Tarjan
+    pass finds the strongly connected components: one with more internal
+    edges than states holds two cycles, a continuum; a cycle with an edge out
+    of it gives countably many; otherwise the paths into the (terminal) cycles
+    are counted: one is unique, more are finitely many.
     """
+    return _census(d)[0]
+
+
+def _census(d: DigitString) -> tuple[ReprCardinality, dict[int, tuple[int, ...]]]:
+    """Cardinality of the value of d, and the digit block of each cycle state."""
     if d.period is None:
         raise ValueError("classification needs an eventually periodic digit string")
-    per = d.period
-    if not d.preperiod and per in ((0,), (3,)):
-        return ReprCardinality(Cardinality.UNIQUE)
-    if len(per) == 1:
-        return ReprCardinality(Cardinality.COUNTABLE)
-    if any((per[j], per[(j + 1) % len(per)]) in REWRITES for j in range(len(per))):
-        return ReprCardinality(Cardinality.CONTINUUM)
-    # a primitive block with no cyclic rewrite pair must use exactly {1,2}:
-    # any 0 or 3 next to a different digit forms one of the six pairs
-    assert set(per) == {1, 2}
-    x = evaluate(d)
-    m = max(len(d.preperiod), 1)
-    prev = count_expansion_prefixes(x, m)
-    while m + 2 <= _STABLE_DEPTH_CAP:
-        m += 2
-        cur = count_expansion_prefixes(x, m)
-        if cur == prev:
-            if cur == 1:
-                return ReprCardinality(Cardinality.UNIQUE)
-            return ReprCardinality(Cardinality.FINITE, cur)
-        prev = cur
-    raise ValueError(f"prefix count failed to stabilise by depth {_STABLE_DEPTH_CAP}")
-
-
-def _tail_cycles(y0: Fraction, max_states: int = 4096) -> list[tuple[int, ...]]:
-    """Digit blocks t such that t repeated forever is an expansion of y0.
-
-    Walks the residual-value graph y -> 3y - c and collects the simple cycles
-    through y0; repeated or combined cycles canonicalise away or only occur
-    for continuum-many expansions, which callers exclude.
-    """
-    cycles: list[tuple[int, ...]] = []
-    seen = {y0}
-    path: list[int] = []
-
-    def rec(y: Fraction) -> None:
-        if len(seen) > max_states:
-            raise ValueError("tail state space too large")
-        for c in _digit_span(y):
-            nxt = 3 * y - c
-            if nxt == y0:
-                cycles.append(tuple(path) + (c,))
-            elif nxt not in seen:
-                seen.add(nxt)
-                path.append(c)
-                rec(nxt)
-                path.pop()
-                seen.discard(nxt)
-
-    rec(y0)
-    return cycles
+    n0, q = _state(evaluate(d))
+    index, low, stack = {n0: 0}, {n0: 0}, [n0]
+    paths: dict[int, int] = {}  # infinite paths from each state of a finished component
+    blocks: dict[int, tuple[int, ...]] = {}
+    exits = False
+    work = [(n0, iter(_steps(n0, q)))]
+    while work:
+        v, edges = work[-1]
+        for _, w in edges:
+            if w not in index:
+                index[w] = low[w] = len(index)
+                stack.append(w)
+                work.append((w, iter(_steps(w, q))))
+                break
+            if w not in paths:  # still on the stack
+                low[v] = min(low[v], index[w])
+        else:
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] != index[v]:
+                continue
+            i = len(stack) - 1
+            while stack[i] != v:
+                i -= 1
+            comp = stack[i:]
+            del stack[i:]
+            out = {u: _steps(u, q) for u in comp}
+            inner = {u: [(c, w) for c, w in out[u] if w in out] for u in comp}
+            if sum(map(len, inner.values())) > len(comp):
+                return ReprCardinality(Cardinality.CONTINUUM), {}
+            if not inner[v]:
+                paths[v] = sum(paths[w] for _, w in out[v])
+                continue
+            # a simple cycle: read its block from v, then rotate it for each state
+            exits = exits or any(len(e) > 1 for e in out.values())
+            ring, word, u = [], [], v
+            for _ in comp:
+                ring.append(u)
+                c, u = inner[u][0]
+                word.append(c)
+            for i, u in enumerate(ring):
+                paths[u], blocks[u] = 1, tuple(word[i:] + word[:i])
+    if exits:
+        return ReprCardinality(Cardinality.COUNTABLE), blocks
+    if paths[n0] == 1:
+        return ReprCardinality(Cardinality.UNIQUE), blocks
+    return ReprCardinality(Cardinality.FINITE, paths[n0]), blocks
 
 
 def enumerate_representations(d: DigitString, m: int) -> list[DigitString]:
     """All expansions of the value of d whose canonical preperiod is at most m digits.
 
-    Refuses continuum inputs.  Each admissible length-m prefix is completed by
-    every purely repeating tail of its residual value; results are canonical,
-    deduplicated and sorted by preperiod length then digits.
+    Refuses continuum inputs.  Each length-m path of the residual graph that
+    ends on a cycle is completed by that cycle's block; results are canonical
+    and sorted by preperiod length then digits.
     """
-    card = classify_cardinality(d)
+    card, blocks = _census(d)
     if card.kind is Cardinality.CONTINUUM:
         raise ValueError("continuum many expansions; enumeration refused")
     if m < len(d.preperiod):
         raise ValueError("depth must cover the preperiod")
-    x = evaluate(d)
-    prefixes = admissible_prefixes(x, m) if m >= 1 else [()]
-    found: set[DigitString] = set()
-    for w in prefixes:
-        y = x
-        for c in w:
-            y = 3 * y - c
-        if y.denominator % 3 == 0:
-            continue  # no purely repeating tail starts at this cut
-        for tail in _tail_cycles(y):
-            found.add(DigitString(w, tail))
+    n, q = _state(evaluate(d))
+    found = [DigitString(w, blocks[s]) for w, s in _paths(n, q, m) if s in blocks]
     return sorted(found, key=lambda r: (len(r.preperiod), r.preperiod, r.period))

@@ -201,8 +201,8 @@ def cdf(p: ProbVector, x, tol: float) -> tuple[Fraction, Fraction]:
     cutoff deepens (up to a hard cap of 60) until the enclosure is narrow
     enough.  At the cap the possibly wider enclosure is returned as is.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     x = Fraction(x)
     probs = p.probs
     zero, one = Fraction(0), Fraction(1)
@@ -263,12 +263,18 @@ def charfn(p: ProbVector, t: float, K: int) -> CharfnResult:
     """
     if K < 1:
         raise ValueError("K must be positive")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if t == 0:
         return CharfnResult(1 + 0j, 0.0)
+    try:
+        growth = math.expm1(1.5 * abs(t) * 3.0 ** -K)
+    except OverflowError:
+        raise ValueError(f"|t| = {abs(t):g} is too large to bound with K = {K} factors") from None
     value = 1 + 0j
     for k in range(1, K + 1):
         value *= phi_factor(p, t, k)
-    truncation = abs(value) * math.expm1(1.5 * abs(t) * 3.0 ** -K)
+    truncation = abs(value) * growth
     rounding = 16 * K * _FLOAT_EPS
     return CharfnResult(value, truncation + rounding)
 

@@ -90,6 +90,17 @@ def test_charfn_csv(capsys):
     assert float(rows[1][1]) == 1.0  # f(0) = 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["cdf", "--tol", "nan"],
+    ["charfn", "--K", "0"],
+    ["charfn", "--tmax", "inf"],  # used to loop without end
+    ["charfn", "--tmax", "1e22", "--step", "4e21"],  # used to print rows, then fail
+])
+def test_bad_numeric_argument_rejected_before_output(capsys, argv):
+    code, out, err = run(capsys, argv[0], "1/4", "1/4", "1/4", "1/4", *argv[1:])
+    assert code == 1 and out == "" and "error" in err
+
+
 def test_lbound_json(capsys):
     out = run_json(capsys, "lbound", "1/4", "1/4", "1/4", "1/4", "--N", "3", "--K", "40")
     assert out["lower_bound"] > 1e-6
@@ -143,6 +154,17 @@ def test_series_greedy(capsys):
     bits, digits, value = rows[1]
     assert len(bits) == 12 and set(bits) <= {"0", "1"}
     assert value == "40/81"
+
+
+def test_series_greedy_zero_denominator_exits_1(capsys):
+    code, out, err = run(capsys, "series", "--greedy", "1/0")
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
+def test_parser_built_once_and_reused_cleanly(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert run_json(capsys, "repr", "1010(12)", "--depth", "4")["depth"] == 4
+    assert run_json(capsys, "repr", "1010(12)")["depth"] == 10  # the default, not the last value
 
 
 def test_series_flags_mutually_exclusive(capsys):

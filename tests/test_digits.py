@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import _residual_graph_expansions
 from tern4 import digits as D
-from tern4.digits import Cardinality, Cylinder, DigitString, ParseError
+from tern4.digits import Cardinality, Cylinder, DigitString, ParseError, ReprCardinality
 
 F = Fraction
 HALF_WIDTH = F(3, 2)
@@ -311,3 +312,44 @@ def test_enumeration_members_verify_by_value():
         assert len({str(r) for r in reps}) == len(reps)
         for r in reps:
             assert D.evaluate(r) == D.evaluate(d)
+
+
+# ---------------------------------------------------------------------------
+# deep and long inputs: the walk has no recursion and no depth or state cap
+
+def test_count_expansion_prefixes_deep():
+    # from 1/2 a prefix is 1^k, or 1^k 0 followed by 3s: k + 1 words of length k
+    assert D.count_expansion_prefixes(F(1, 2), 1500) == 1501
+
+
+def test_admissible_prefixes_deep():
+    assert D.admissible_prefixes(F(5, 8), 1500) == [(1, 2) * 750]
+
+
+def test_classify_long_preperiod():
+    d = D.parse("0" * 26 + "10(12)")
+    assert D.classify_cardinality(d) == ReprCardinality(Cardinality.FINITE, 2)
+    reps = {str(r) for r in D.enumerate_representations(d, len(d.preperiod) + 3)}
+    assert reps == {str(D.parse(s)) for s in _residual_graph_expansions(D.evaluate(d))}
+
+
+def test_census_against_fraction_oracle_exhaustive():
+    # every string with preperiod <= 3 and period <= 2; the oracle lists the
+    # expansions when they are finitely many and fails on a cycle with an exit.
+    # For so short a period the graph has two cycles in one component exactly
+    # when the block holds a rewritable pair in cyclic reading.
+    words = [w for n in range(4) for w in product(range(4), repeat=n)]
+    for d in {DigitString(pre, per) for pre in words for per in words if 1 <= len(per) <= 2}:
+        card = D.classify_cardinality(d)
+        try:
+            expected = {str(D.parse(s)) for s in _residual_graph_expansions(D.evaluate(d))}
+        except AssertionError:
+            per = d.period
+            rewritable = any((per[j], per[(j + 1) % len(per)]) in D.REWRITES for j in range(len(per)))
+            assert card.kind is (Cardinality.CONTINUUM if rewritable else Cardinality.COUNTABLE), d
+            continue
+        n = len(expected)
+        assert card == (ReprCardinality(Cardinality.UNIQUE) if n == 1
+                        else ReprCardinality(Cardinality.FINITE, n)), d
+        m = max(len(d.preperiod), *(len(D.parse(s).preperiod) for s in expected))
+        assert {str(r) for r in D.enumerate_representations(d, m)} == expected, d

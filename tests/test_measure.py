@@ -108,6 +108,18 @@ def test_charfn_certifies_its_truncation():
     assert abs(coarse.value - fine.value) <= coarse.tail_bound
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_charfn_rejects_non_finite_t(t):
+    with pytest.raises(ValueError):
+        M.charfn(pv("1/4", "1/4", "1/4", "1/4"), t, 40)
+
+
+def test_charfn_rejects_t_too_large_to_bound():
+    # the truncation bound would overflow a float
+    with pytest.raises(ValueError):
+        M.charfn(pv("1/4", "1/4", "1/4", "1/4"), 1e300, 40)
+
+
 def test_charfn_functional_equation():
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -218,6 +230,12 @@ def test_cdf_symmetric_midpoint():
 def test_cdf_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         M.cdf(pv("1/4", "1/4", "1/4", "1/4"), F(1, 2), 0.0)
+
+
+@pytest.mark.parametrize("tol", [-1e-4, math.nan, math.inf])
+def test_cdf_rejects_non_positive_or_non_finite_tolerance(tol):
+    with pytest.raises(ValueError):
+        M.cdf(pv("1/4", "1/4", "1/4", "1/4"), F(1, 2), tol)
 
 
 def test_cdf_functional_equation():
