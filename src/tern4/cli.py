@@ -119,10 +119,11 @@ def cmd_dimension(args) -> int:
     except ValueError:
         raise ValueError(f"bad digit set {args.digits!r}") from None
     est = fractal.box_dimension(digit_set, args.nmax)
+    # str() of a count past Python's 4300-digit limit raises: do it before any output
+    rows = [[n, str(count), _dec(math.log(count) / math.log(3))] for n, count in est.counts]
     w = _csv_writer()
     w.writerow(["n", "count", "log3_count"])
-    for n, count in est.counts:
-        w.writerow([n, count, _dec(math.log(count) / math.log(3))])
+    w.writerows(rows)
     target = fractal.dimension_target(digit_set)
     _emit_json({
         "schema": SCHEMA,

@@ -2,9 +2,14 @@
 
 Level-n cells are the distinct left endpoints sum(c_k * base**-k) over words
 from a digit alphabet; their growth rate in log base `base` estimates the
-fractal dimension of the closure.  Also hosts the entropy (digit-frequency)
-dimension formula, the reinterpretation map from ordinary base-4 expansions
-to redundant base-3 digit strings, and its level sets.
+fractal dimension of the closure.  The counts are exact at every level: a
+finite automaton over the differences between a word and the smaller words
+that may still reach its value counts them in time linear in the level, with
+no level cap (the finite-type / neighbour-graph method of Lalley, Trans. AMS
+349 (1997), and Ngai & Wang, J. London Math. Soc. 63 (2001)).  Also hosts the
+entropy (digit-frequency) dimension formula, the reinterpretation map from
+ordinary base-4 expansions to redundant base-3 digit strings, and its level
+sets.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ DIM_TWO_DIGITS = math.log(2, 3)
 #: dimension of the {0,1,3} and {0,2,3} expansion sets (counts grow like (3+sqrt 5)/2)
 DIM_SPARSE_TRIPLE = math.log((3 + math.sqrt(5)) / 2, 3)
 
-_LEVEL_LIMITS = {1: 60, 2: 20, 3: 14, 4: 14}
-
 
 def _checked_digit_set(digit_set: Iterable[int], base: int) -> tuple[int, ...]:
     V = tuple(sorted(set(int(c) for c in digit_set)))
@@ -35,23 +38,57 @@ def _checked_digit_set(digit_set: Iterable[int], base: int) -> tuple[int, ...]:
 
 
 def _cell_counts(V: tuple[int, ...], n_max: int, base: int) -> list[int]:
-    # distinct digit sums at level n are exactly {base*a + c} over level n-1 sums
+    """Distinct values sum(c_k * base**(n-k)) over words of V**n, for n = 1..n_max.
+
+    A word is counted when no lexicographically smaller word of the same
+    length has its value.  Read left to right, a word w carries the set S of
+    differences value(w') - value(w) over the smaller prefixes w' that can
+    still catch up: a difference d survives only while |d|*(base-1) is at most
+    max V - min V, the most the remaining digits can make up.  Reading the
+    digit c maps S to {base*d + c' - c : d in S, c' in V} together with
+    {c' - c : c' in V, c' < c}, then filters.  Once 0 is in S the word ties a
+    smaller one, and so do all its extensions, so those states are dropped.
+    The states form a finite automaton (the differences are bounded integers);
+    N(n) is the number of length-n paths from the empty set.
+    """
+    span = V[-1] - V[0]
+    index = {frozenset(): 0}
+    edges: list[list[int]] = []
+    states = [frozenset()]
+    for S in states:  # breadth first; `states` grows as new sets are found
+        row = []
+        for c in V:
+            T = {base * d + e - c for d in S for e in V}
+            T.update(e - c for e in V if e < c)
+            T = frozenset(d for d in T if abs(d) * (base - 1) <= span)
+            if 0 in T:
+                continue
+            if T not in index:
+                index[T] = len(states)
+                states.append(T)
+            row.append(index[T])
+        edges.append(row)
+    paths = [1] + [0] * (len(states) - 1)
     counts = []
-    frontier = {0}
     for _ in range(n_max):
-        frontier = {base * a + c for a in frontier for c in V}
-        counts.append(len(frontier))
+        nxt = [0] * len(states)
+        for s, k in enumerate(paths):
+            for t in edges[s]:
+                nxt[t] += k
+        paths = nxt
+        counts.append(sum(paths))
     return counts
 
 
 def count_cells(digit_set: Iterable[int], n: int, base: int = 3) -> int:
-    """Number of distinct level-n cells: values sum(c_k * base**(n-k)) over words."""
+    """Number of distinct level-n cells: values sum(c_k * base**(n-k)) over words.
+
+    Exact at every level n >= 1; the time grows linearly in n (times the
+    length of the counts, which have about n digits).
+    """
     V = _checked_digit_set(digit_set, base)
-    limit = _LEVEL_LIMITS[len(V)]
     if n < 1:
         raise ValueError("level must be positive")
-    if n > limit:
-        raise ValueError(f"level {n} too large for a {len(V)}-digit alphabet (limit {limit})")
     return _cell_counts(V, n, base)[-1]
 
 
@@ -68,9 +105,8 @@ class DimensionEstimate:
 def box_dimension(digit_set: Iterable[int], n_max: int, base: int = 3) -> DimensionEstimate:
     """Least-squares slope of log_base(N(n)) against n, fitted on levels > n_max/2."""
     V = _checked_digit_set(digit_set, base)
-    limit = _LEVEL_LIMITS[len(V)]
-    if not 1 <= n_max <= limit:
-        raise ValueError(f"n_max must be in 1..{limit} for a {len(V)}-digit alphabet")
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
     counts = _cell_counts(V, n_max, base)
     levels = list(range(1, n_max + 1))
     logs = [math.log(c) / math.log(base) for c in counts]

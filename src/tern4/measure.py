@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from tern4 import fractal
 from tern4.digits import TAIL_SUP
 
@@ -153,6 +151,8 @@ def sample_digit_series(values, weights, count: int, depth: int, seed: int) -> n
     Digits are drawn by inverse CDF over the cumulative weights, using the
     seeded numpy generator; fixed (seed, count, depth) reproduces the draws.
     """
+    import numpy as np  # imported here so that the rest of tern4 starts without numpy
+
     if depth < 1 or count < 1:
         raise ValueError("count and depth must be positive")
     w = [float(x) for x in weights]
@@ -167,6 +167,8 @@ def sample_digit_series(values, weights, count: int, depth: int, seed: int) -> n
 
 def sample_digits(p: ProbVector, depth: int, seed: int) -> tuple[int, ...]:
     """One sequence of `depth` digits drawn per p (inverse CDF over cumulative p)."""
+    import numpy as np
+
     if depth < 1:
         raise ValueError("depth must be positive")
     cum = np.cumsum([float(v) for v in p.probs])[:-1]
@@ -257,9 +259,24 @@ def phi_factor(p: ProbVector, t: float, k: int) -> complex:
 def charfn(p: ProbVector, t: float, K: int) -> CharfnResult:
     """Characteristic function at t as the product of the first K digit factors.
 
-    The omitted factors differ from 1 by at most 3|t|*3**-k each, giving the
-    truncation part of the bound; a small K-proportional allowance covers
-    floating-point rounding of the product, so the bound stays certified.
+    The bound on |true - value| has three parts.
+
+    - Truncation: the omitted factors differ from 1 by at most 3|t|*3**-k
+      each, so their product differs from 1 by at most expm1(1.5|t|*3**-K).
+    - Phase rounding: factor k evaluates exp(i*m*w) at the float
+      w = t * 3.0**-k and the float m*w.  The power is within one ulp of
+      3**-k and each product rounds once, so the phase m*w carries a relative
+      error of at most 2*eps + eps**2 and an absolute one of at most
+      m*|t|*3**-k*(2*eps + eps**2), with m <= 3.  Since |exp(ia) - exp(ib)|
+      <= |a - b|, factor k moves by at most 6.01*eps*|t|*3**-k.  The true
+      factors lie in the unit disc and the computed ones within a few ulps
+      of it, so the errors of the K factors add up in the product; 8 in
+      place of 6.01 leaves room for those ulps: 8*eps*|t|*sum_{k<=K} 3**-k.
+    - Arithmetic rounding: each factor and each product step adds a few ulps
+      of a number at most 1 in modulus; 16*K*eps covers them.
+
+    The first two grow with |t|; with K = 40 the phase part is the largest
+    from about |t| = 160 on.
     """
     if K < 1:
         raise ValueError("K must be positive")
@@ -275,8 +292,9 @@ def charfn(p: ProbVector, t: float, K: int) -> CharfnResult:
     for k in range(1, K + 1):
         value *= phi_factor(p, t, k)
     truncation = abs(value) * growth
+    phase = 8 * _FLOAT_EPS * abs(t) * (1 - 3.0 ** -K) / 2
     rounding = 16 * K * _FLOAT_EPS
-    return CharfnResult(value, truncation + rounding)
+    return CharfnResult(value, truncation + phase + rounding)
 
 
 def limsup_lower_bound(p: ProbVector, N: int, K: int = 40) -> float:

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tern4
 from tern4 import cli
 
 
@@ -119,6 +124,27 @@ def test_dimension_output(capsys):
     assert meta["digit_set"] == "12"
     assert abs(meta["slope"] - math.log(2, 3)) < 1e-9
     assert meta["abs_error"] < 1e-9
+
+
+@pytest.mark.parametrize("argv", [["--digits", "013", "--nmax", "0"], ["--digits", "4", "--nmax", "5"],
+                                  # 2**15000 has more digits than Python converts to a string
+                                  ["--digits", "12", "--nmax", "15000"]])
+def test_dimension_bad_arguments_exit_1(capsys, argv):
+    code, out, err = run(capsys, "dimension", *argv)
+    assert code == 1 and out == "" and "error" in err
+
+
+def _imported_modules(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(tern4.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, env=env, check=True)
+    return {ln.rsplit("|", 1)[1].strip() for ln in proc.stderr.splitlines() if ln.startswith("import time:")}
+
+
+def test_numpy_not_imported_by_cli():
+    # only the samplers need numpy; everything else starts without it
+    assert "numpy" not in _imported_modules("-c", "import tern4, tern4.cli")
+    assert "numpy" not in _imported_modules("-m", "tern4.cli", "repr", "1010(12)")
 
 
 def test_levelset_finite(capsys):

@@ -38,15 +38,42 @@ def test_count_cells_full_alphabet():
         assert Fr.count_cells((0, 1, 2, 3), n) < 4 ** n or n == 1
 
 
-@pytest.mark.parametrize("V", [(1, 2), (0, 3), (0, 1, 3), (0, 2, 3), (0, 1, 2), (0, 1, 2, 3)])
+# the first six keep their former ids V0-V5; the other nine subsets follow
+_FIRST_SIX = [(1, 2), (0, 3), (0, 1, 3), (0, 2, 3), (0, 1, 2), (0, 1, 2, 3)]
+_SUBSETS = [c for r in (1, 2, 3, 4) for c in combinations(range(4), r)]
+
+
+@pytest.mark.parametrize("V", _FIRST_SIX + [V for V in _SUBSETS if V not in _FIRST_SIX])
 def test_count_cells_against_brute_force(V):
     for n in range(1, 8):
         assert Fr.count_cells(V, n) == _brute_count(V, n)
 
 
+def test_cell_counts_base_16_against_brute_force():
+    assert Fr._cell_counts((3, 4), 7, 16) == [_brute_count((3, 4), n, 16) for n in range(1, 8)]
+
+
+def _fibonacci(m):
+    a, b = 0, 1
+    for _ in range(m):
+        a, b = b, a + b
+    return a
+
+
+def test_count_cells_deep_levels():
+    n = 500
+    for V in _SUBSETS:
+        if len(V) == 2:
+            assert Fr.count_cells(V, n) == 2 ** n
+    assert Fr.count_cells((0, 1, 2, 3), n) == (3 ** (n + 1) - 1) // 2
+    assert Fr.count_cells((0, 1, 3), n) == Fr.count_cells((0, 2, 3), n) == _fibonacci(2 * n + 2)
+    for V in _SUBSETS:
+        n200, n201 = Fr._cell_counts(V, 201, 3)[-2:]
+        assert abs(math.log(n201 / n200, 3) - Fr.dimension_target(V)) < 1e-6, V
+
+
 def test_count_cells_guards():
-    with pytest.raises(ValueError):
-        Fr.count_cells((0, 1, 3), 15)
+    assert Fr.count_cells((0, 1, 3), 15) == 2178309  # F_32: no level cap
     with pytest.raises(ValueError):
         Fr.count_cells((), 3)
     with pytest.raises(ValueError):

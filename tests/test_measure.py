@@ -120,6 +120,38 @@ def test_charfn_rejects_t_too_large_to_bound():
         M.charfn(pv("1/4", "1/4", "1/4", "1/4"), 1e300, 40)
 
 
+def _charfn_mpmath(p, t):
+    """The full product prod_k sum_m p_m exp(i m t 3**-k) at 60 digits, to below 1e-40."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        ps = [mpmath.mpf(v.numerator) / v.denominator for v in p.probs]
+        t = mpmath.mpf(t)
+        f = mpmath.mpc(1)
+        k = 1
+        while 3 * abs(t) / mpmath.mpf(3) ** k > mpmath.mpf(10) ** -40:
+            z = mpmath.expj(t / mpmath.mpf(3) ** k)
+            f *= ((ps[3] * z + ps[2]) * z + ps[1]) * z + ps[0]
+            k += 1
+        return complex(f)
+
+
+def test_charfn_bound_holds_against_mpmath_at_large_t():
+    # the phase m * t * 3**-k is rounded to float: its error grows with |t|
+    rng = random.Random(2024)
+    laws = [pv("1/4", "1/4", "1/4", "1/4")]
+    for _ in range(4):
+        w = [rng.randrange(1, 30) for _ in range(4)]
+        laws.append(pv(*[F(x, sum(w)) for x in w]))
+    ts = [2 * math.pi * 3 ** 8, 2 * math.pi * 3 ** 12, 2 * math.pi * 3 ** 20, 1e11, -1e11]
+    ts += [rng.choice((-1, 1)) * 10 ** rng.uniform(0, 11) for _ in range(10)]
+    for p in laws:
+        for t in ts:
+            r = M.charfn(p, t, 40)
+            err = abs(r.value - _charfn_mpmath(p, t))
+            assert err <= r.tail_bound, (p, t, err, r.tail_bound)
+
+
 def test_charfn_functional_equation():
     rng = np.random.default_rng(5)
     for _ in range(3):
