@@ -103,7 +103,11 @@ class DimensionEstimate:
 
 
 def box_dimension(digit_set: Iterable[int], n_max: int, base: int = 3) -> DimensionEstimate:
-    """Least-squares slope of log_base(N(n)) against n, fitted on levels > n_max/2."""
+    """Least-squares slope of log_base(N(n)) against n, fitted on levels > n_max/2.
+
+    Memory grows as n_max**2: the returned `counts` keep the exact N(n) of
+    every level, and N(n) has about n digits.
+    """
     V = _checked_digit_set(digit_set, base)
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -146,28 +150,6 @@ def eggleston_dimension(frequencies: Sequence) -> float:
     if (exact and total != 1) or (not exact and abs(float(total) - 1.0) > 1e-12):
         raise ValueError(f"frequencies sum to {total}, expected 1")
     return -sum(float(f) * math.log(float(f), 3) for f in fs)
-
-
-def dimension_equation_root(tol: float = 1e-12) -> float:
-    """Root in (0,1) of 3**-x + sum_{n>=0} 2**n * 3**-(n+2)x = 1, by bisection.
-
-    For 2*3**-x >= 1 the series diverges, so the excess is taken as +inf there.
-    """
-
-    def excess(x: float) -> float:
-        b = 3.0 ** -x
-        if 2 * b >= 1:
-            return math.inf
-        return b + b * b / (1 - 2 * b) - 1
-
-    lo, hi = 1e-9, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if excess(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 # ---------------------------------------------------------------------------

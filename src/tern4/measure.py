@@ -3,11 +3,10 @@
 Given the digit law (p0, p1, p2, p3), the series defines a random variable
 supported on [0, 3/2].  This module classifies its distribution (absolutely
 continuous exactly when p1 = p2 = 1/3, otherwise singular with several
-sub-kinds), samples it reproducibly, encloses its distribution function via
-the self-similarity F(x) = sum_i p_i * F(3x - i), evaluates the characteristic
-function as a truncated product with a certified tail bound, and produces the
-convolution decompositions (uniform plus two-digit component, and the product
-of two two-digit components).
+sub-kinds), samples it reproducibly, brackets its distribution function
+(exactly at rationals) in one pass over the ternary digits of x, evaluates
+the characteristic function as a truncated product with a certified tail
+bound, and produces the convolution decompositions.
 """
 
 from __future__ import annotations
@@ -43,12 +42,9 @@ class ProbVector:
     exact: bool = True
 
     def __post_init__(self):
-        vals = []
-        exact = self.exact
-        for v in (self.p0, self.p1, self.p2, self.p3):
-            if isinstance(v, float):
-                exact = False
-            vals.append(Fraction(v))
+        given = (self.p0, self.p1, self.p2, self.p3)
+        vals = [Fraction(v) for v in given]
+        exact = self.exact and not any(isinstance(v, float) for v in given)
         for v in vals:
             if not 0 <= v < 1:
                 raise ValueError(f"digit probability {v} outside [0, 1)")
@@ -145,12 +141,8 @@ def classify(p: ProbVector) -> DistributionClass:
 # ---------------------------------------------------------------------------
 # sampling
 
-def sample_digit_series(values, weights, count: int, depth: int, seed: int) -> np.ndarray:
-    """`count` draws of the truncated series sum(v_k * 3**-k), digits i.i.d. per `weights`.
-
-    Digits are drawn by inverse CDF over the cumulative weights, using the
-    seeded numpy generator; fixed (seed, count, depth) reproduces the draws.
-    """
+def _draw(values, weights, count: int, depth: int, seed: int) -> np.ndarray:
+    """(count, depth) i.i.d. draws from `values` per `weights`, by inverse CDF of seeded uniforms."""
     import numpy as np  # imported here so that the rest of tern4 starts without numpy
 
     if depth < 1 or count < 1:
@@ -161,27 +153,20 @@ def sample_digit_series(values, weights, count: int, depth: int, seed: int) -> n
     cum = np.cumsum(w)[:-1]
     rng = np.random.default_rng(seed)
     idx = np.searchsorted(cum, rng.random((count, depth)), side="right")
-    vals = np.asarray(values, dtype=float)[idx]
-    return vals @ (3.0 ** -np.arange(1, depth + 1))
+    return np.asarray(values, dtype=float)[idx]
 
 
-def sample_digits(p: ProbVector, depth: int, seed: int) -> tuple[int, ...]:
-    """One sequence of `depth` digits drawn per p (inverse CDF over cumulative p)."""
+def sample_digit_series(values, weights, count: int, depth: int, seed: int) -> np.ndarray:
+    """`count` draws of the truncated series sum(v_k * 3**-k), digits i.i.d. per `weights`."""
     import numpy as np
 
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    cum = np.cumsum([float(v) for v in p.probs])[:-1]
-    rng = np.random.default_rng(seed)
-    return tuple(int(np.searchsorted(cum, u, side="right")) for u in rng.random(depth))
+    return _draw(values, weights, count, depth, seed) @ (3.0 ** -np.arange(1, depth + 1))
 
 
 def sample(p: ProbVector, depth: int, seed: int) -> Fraction:
     """One exact truncated draw sum(d_k * 3**-k); truncation error <= (3/2)*3**-depth."""
-    num = 0
-    for d in sample_digits(p, depth, seed):
-        num = num * 3 + d
-    return Fraction(num, 3 ** depth)
+    digits = _draw((0, 1, 2, 3), p.probs, 1, depth, seed)[0]
+    return sum(Fraction(int(d), 3 ** k) for k, d in enumerate(digits, 1))
 
 
 def sample_many(p: ProbVector, count: int, depth: int, seed: int) -> np.ndarray:
@@ -192,48 +177,67 @@ def sample_many(p: ProbVector, count: int, depth: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # distribution function
 
-_CDF_DEPTH_CAP = 60
-
-
 def cdf(p: ProbVector, x, tol: float) -> tuple[Fraction, Fraction]:
-    """Enclosure [lo, hi] of F(x) = P(series <= x), of width <= tol when reachable.
+    """Enclosure [lo, hi] of F(x) = P(series <= x) with hi - lo <= tol; lo == hi when exact.
 
-    Uses F(x) = sum_i p_i * F(3x - i) with F = 0 left of 0 and F = 1 right of
-    3/2; branches unresolved at the depth cutoff contribute [0,1] and the
-    cutoff deepens (up to a hard cap of 60) until the enclosure is narrow
-    enough.  At the cap the possibly wider enclosure is returned as is.
+    F = 0 up to 0, F = 1 from 3/2 on, and F(y) = sum_c p_c F(3y - c) (de Rham).
+    For f in [0, 1) and its next ternary digit t = floor(3f), V(f) = (F(f),
+    F(f + 1)) obeys V(f) = A_t V(3f - t) + b_t, with A_t = [[p_t, p_{t-1}],
+    [p_{t+3}, p_{t+2}]], b_t = (sum_{c<=t-2} p_c, sum_{c<=t+1} p_c), p_c = 0
+    outside 0..3, and F(1) = (p0 + p1) / (1 - p2).  For x = i + f, one pass over
+    the digits of f = n/q keeps r >= 0 and s with F(x) = r . V(f_k) + s after k
+    digits; F increases, so lo = s + r1 F(1) and hi = s + r0 F(1) + r1 are F at
+    the two depth-k ternary rationals around x.  A repeated remainder closes a
+    period, whose maps give V = P V + beta there: Cramer's rule, lo = hi = F(x).
+    The pass ends, as all p_c < 1 make F continuous (hi - lo tends to 0) and a
+    rational's remainder repeats within q steps.  Integer arithmetic: no rounding.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
-    x = Fraction(x)
-    probs = p.probs
-    zero, one = Fraction(0), Fraction(1)
+    try:
+        x = Fraction(x)
+    except (OverflowError, ValueError):
+        raise ValueError(f"x must be a finite number, got {x!r}") from None
+    if x <= 0:
+        return Fraction(0), Fraction(0)
+    if x >= TAIL_SUP:
+        return Fraction(1), Fraction(1)
+    tol = Fraction(tol)
+    D = math.lcm(*(v.denominator for v in p.probs))
+    w = [0] + [int(v * D) for v in p.probs] + [0, 0]  # w[c + 1] = D * p_c, 0 outside 0..3
+    below = [sum(w[:j]) for j in range(len(w))]  # below[t] = D * sum_{c <= t-2} p_c
 
-    def enclose(y: Fraction, d: int, memo: dict) -> tuple[Fraction, Fraction]:
-        if y <= 0:
-            return zero, zero
-        if y >= TAIL_SUP:
-            return one, one
-        if d == 0:
-            return zero, one
-        key = (y, d)
-        got = memo.get(key)
-        if got is None:
-            lo = hi = zero
-            for i, pi in enumerate(probs):
-                if pi:
-                    l, h = enclose(3 * y - i, d - 1, memo)
-                    lo += pi * l
-                    hi += pi * h
-            got = memo[key] = (lo, hi)
-        return got
+    def step(r0: int, r1: int, s: int, t: int) -> tuple[int, int, int]:  # D (r A_t, s + r . b_t)
+        return (r0 * w[t + 1] + r1 * w[t + 4], r0 * w[t] + r1 * w[t + 3],
+                s * D + r0 * below[t] + r1 * below[t + 3])
 
-    depth = 15
-    while True:
-        lo, hi = enclose(x, depth, {})
-        if hi - lo <= tol or depth >= _CDF_DEPTH_CAP:
-            return lo, hi
-        depth = min(2 * depth, _CDF_DEPTH_CAP)
+    f1_num, f1_den = w[1] + w[2], D - w[3]  # F(1), and 1 - F(1) = w[4] / f1_den
+    q = x.denominator
+    i, n = divmod(x.numerator, q)
+    # after k digits F(x) = (r0 F(n/q) + r1 F(n/q + 1) + s) / D**k, and den = f1_den * D**k
+    r0, r1, s, den = 1 - i, i, 0, f1_den
+    seen = {}  # remainder -> the step that met it
+    while n not in seen:
+        width = r0 * f1_num + r1 * w[4]  # (hi - lo) * den
+        if width * tol.denominator <= tol.numerator * den:
+            lo = Fraction(s * f1_den + r1 * f1_num, den)
+            return lo, lo + Fraction(width, den)
+        seen[n] = len(seen)
+        t, n = divmod(3 * n, q)
+        r0, r1, s = step(r0, r1, s, t)
+        den *= D
+    # n came back after the remainders m met since it: V(n/q) = (P V(n/q) + beta) / E
+    k = seen[n]
+    rows = [(1, 0, 0), (0, 1, 0)]  # the rows of [P | beta], by the same step
+    for m in list(seen)[k:]:
+        rows = [step(*row, 3 * m // q) for row in rows]
+    (a, b, beta0), (c, d, beta1) = rows
+    E = D ** (len(seen) - k)
+    det = (E - a) * (E - d) - b * c  # of E I - P
+    v0 = beta0 * (E - d) + b * beta1  # V(n/q) = (v0, v1) / det
+    v1 = beta1 * (E - a) + c * beta0
+    value = Fraction(r0 * v0 + r1 * v1 + s * det, D ** len(seen) * det)
+    return value, value
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +292,7 @@ def charfn(p: ProbVector, t: float, K: int) -> CharfnResult:
         growth = math.expm1(1.5 * abs(t) * 3.0 ** -K)
     except OverflowError:
         raise ValueError(f"|t| = {abs(t):g} is too large to bound with K = {K} factors") from None
-    value = 1 + 0j
-    for k in range(1, K + 1):
-        value *= phi_factor(p, t, k)
+    value = math.prod(phi_factor(p, t, k) for k in range(1, K + 1))
     truncation = abs(value) * growth
     phase = 8 * _FLOAT_EPS * abs(t) * (1 - 3.0 ** -K) / 2
     rounding = 16 * K * _FLOAT_EPS
@@ -305,11 +307,8 @@ def limsup_lower_bound(p: ProbVector, N: int, K: int = 40) -> float:
     """
     if N < 1:
         raise ValueError("N must be positive")
-    best = 0.0
-    for n in range(1, N + 1):
-        r = charfn(p, 2 * math.pi * n, K)
-        best = max(best, abs(r.value) - r.tail_bound)
-    return max(0.0, best)
+    results = (charfn(p, 2 * math.pi * n, K) for n in range(1, N + 1))
+    return max(0.0, *(abs(r.value) - r.tail_bound for r in results))
 
 
 # ---------------------------------------------------------------------------

@@ -132,10 +132,6 @@ def test_eggleston_dimension():
         Fr.eggleston_dimension((F(1, 2), F(1, 4), F(1, 8)))
 
 
-def test_dimension_equation_root_matches_closed_form():
-    assert abs(Fr.dimension_equation_root() - Fr.DIM_SPARSE_TRIPLE) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # base-4 reinterpretation map
 

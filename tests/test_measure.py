@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -217,6 +218,18 @@ def test_sample_reproducible_and_consistent():
     assert float(M.sample(p, 12, seed=3)) == pytest.approx(M.sample_many(p, 1, 12, seed=3)[0])
 
 
+def test_sample_draws_pinned():
+    # a fixed (seed, count, depth) must keep giving these draws
+    p = pv("1/4", "1/4", "1/4", "1/4")
+    assert M.sample(p, 12, seed=3) == F(73202, 531441)
+    assert M.sample_many(p, 5, 12, seed=3).tolist() == [
+        0.1377424775280793, 0.6746506197301299, 1.2996532070352118, 0.6462090805940829, 1.1594043365114846]
+    p = pv("1/2", "1/4", "1/4", 0)
+    assert M.sample(p, 12, seed=3) == F(45955, 531441)
+    assert M.sample_many(p, 5, 12, seed=3).tolist() == [
+        0.08647244002626821, 0.17470236583176682, 0.8039274350304172, 0.1585575821210633, 0.6717528380384652]
+
+
 def test_sample_support_bounds():
     p = pv(0, 0, "1/2", "1/2")
     vals = M.sample_many(p, 2000, 25, seed=8)
@@ -268,6 +281,110 @@ def test_cdf_rejects_bad_tolerance():
 def test_cdf_rejects_non_positive_or_non_finite_tolerance(tol):
     with pytest.raises(ValueError):
         M.cdf(pv("1/4", "1/4", "1/4", "1/4"), F(1, 2), tol)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_cdf_rejects_non_finite_x(x):
+    with pytest.raises(ValueError):
+        M.cdf(pv("1/4", "1/4", "1/4", "1/4"), x, 1e-4)
+
+
+def test_cdf_reaches_tolerance_for_heavy_laws():
+    # a digit of probability near 1 makes F very steep; the bracket must still reach tol
+    e = F(1, 10 ** 9)
+    lo, hi = M.cdf(ProbVector(e, 1 - 3 * e, e, e), F(1, 2), 1e-4)
+    assert lo == hi  # 1/2 = 0.111... in base 3: the remainder repeats at once
+    lo, hi = M.cdf(ProbVector(1 - 3 * e, e, e, e), 2.0 ** -1074, 1e-4)
+    assert 0 <= hi - lo <= 1e-4
+
+
+def _cdf_by_elimination(p, points):
+    """Exact F at rational points, by sparse elimination of (I - A) F = b.
+
+    The unknowns are F at the residual states y in (0, 3/2) reachable from the
+    points under y -> 3y - c, each row being F(y) = sum_c p_c F(3y - c), with
+    F = 0 at and left of 0 and F = 1 at and right of 3/2.  A state y is kept
+    as the integer y * L over the common denominator L.  Unknowns are
+    eliminated successors first (depth-first post-order), so rows stay short;
+    back substitution then gives every value.  Uses only Fraction arithmetic.
+    """
+    L = math.lcm(*(F(y).denominator for y in points))
+    top = 3 * L // 2
+    rows, todo = {}, [int(y * L) for y in points if 0 < y < F(3, 2)]
+    while todo:
+        m = todo.pop()
+        if m in rows:
+            continue
+        row, const = {}, F(0)  # F(m) = sum row[z] F(z) + const
+        for c, pc in enumerate(p):
+            z = 3 * m - c * L
+            if pc and z >= top:
+                const += pc
+            elif pc and z > 0:
+                row[z] = pc
+                todo.append(z)
+        rows[m] = [row, const]
+    order, visited = [], set()
+    for root in rows:
+        if root in visited:
+            continue
+        visited.add(root)
+        stack = [(root, iter(rows[root][0]))]
+        while stack:
+            m, it = stack[-1]
+            z = next((z for z in it if z not in visited), None)
+            if z is None:
+                stack.pop()
+                order.append(m)
+            else:
+                visited.add(z)
+                stack.append((z, iter(rows[z][0])))
+    users = defaultdict(set)
+    for m, (row, _) in rows.items():
+        for z in row:
+            users[z].add(m)
+    done = set()
+    for m in order:
+        row, const = rows[m]
+        a = row.pop(m, 0)
+        if a:
+            for z in row:
+                row[z] /= 1 - a
+            rows[m][1] = const = const / (1 - a)
+        done.add(m)
+        for u in users.pop(m, ()):
+            if u not in done:
+                urow = rows[u][0]
+                coef = urow.pop(m)
+                for z, v in row.items():
+                    urow[z] = urow.get(z, 0) + coef * v
+                    users[z].add(u)
+                rows[u][1] += coef * const
+    value = {}
+    for m in reversed(order):
+        row, const = rows[m]
+        value[m] = const + sum(v * value[z] for z, v in row.items())
+    return {y: F(0) if y <= 0 else F(1) if y >= F(3, 2) else value[int(y * L)] for y in points}
+
+
+# the four bench laws, then one law per remaining zero pattern (two digits stay positive)
+_EXHAUSTIVE_LAWS = [
+    ("1/4", "1/4", "1/4", "1/4"), ("1/6", "1/3", "1/3", "1/6"), ("1/2", "1/4", "1/4", "0"), ("1/2", "0", "0", "1/2"),
+    ("0", "1/3", "1/3", "1/3"), ("1/3", "0", "1/3", "1/3"), ("1/4", "1/4", "0", "1/2"),
+    ("1/2", "1/2", "0", "0"), ("0", "1/2", "1/2", "0"), ("0", "0", "1/3", "2/3"), ("0", "1/4", "0", "3/4"),
+    ("2/3", "0", "1/3", "0"),
+]
+
+
+def test_cdf_exact_at_rationals_against_elimination_oracle():
+    points = sorted({F(m, q) for q in range(1, 61) for m in range(3 * q // 2 + 1)})
+    assert len(points) == 1654
+    for vals in _EXHAUSTIVE_LAWS:
+        p = pv(*vals)
+        exact = _cdf_by_elimination(p.probs, points)
+        for x in points:
+            lo, hi = M.cdf(p, x, 1e-300)
+            assert lo == hi == exact[x], (vals, x, lo, hi, exact[x])
 
 
 def test_cdf_functional_equation():
