@@ -97,12 +97,12 @@ def cmd_charfn(args) -> int:
     measure.charfn(p, tmax, args.K)  # rejects bad K and a tmax it cannot bound before any output
     w = _csv_writer()
     w.writerow(["t", "re", "im", "abs", "tail_bound"])
-    t = 0.0
-    while t <= tmax:
+    j = 0
+    while (t := j * args.step) <= tmax:  # j * step, not a running sum, so rounding does not pile up
         r = measure.charfn(p, t, args.K)
         w.writerow([_dec(t), _dec(r.value.real), _dec(r.value.imag),
                     _dec(abs(r.value)), _dec(r.tail_bound)])
-        t += args.step
+        j += 1
     return 0
 
 
@@ -119,7 +119,11 @@ def cmd_dimension(args) -> int:
     except ValueError:
         raise ValueError(f"bad digit set {args.digits!r}") from None
     est = fractal.box_dimension(digit_set, args.nmax)
-    # str() of a count past Python's 4300-digit limit raises: do it before any output
+    # str() of a count past Python's int-to-string limit raises: check before any conversion
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and max(count for _, count in est.counts) >= 10 ** limit:
+        raise ValueError(f"a count has more than {limit} digits, past Python's int-to-string limit "
+                         "(sys.set_int_max_str_digits)")
     rows = [[n, str(count), _dec(math.log(count) / math.log(3))] for n, count in est.counts]
     w = _csv_writer()
     w.writerow(["n", "count", "log3_count"])

@@ -11,7 +11,6 @@ bound, and produces the convolution decompositions.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -151,8 +150,12 @@ def _draw(values, weights, count: int, depth: int, seed: int) -> np.ndarray:
     if len(w) != len(values) or any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
         raise ValueError("weights must be non-negative and sum to 1 over the values")
     cum = np.cumsum(w)[:-1]
-    rng = np.random.default_rng(seed)
-    idx = np.searchsorted(cum, rng.random((count, depth)), side="right")
+    u = np.random.default_rng(seed).random((count, depth))
+    # the number of cum entries <= u, which is searchsorted(cum, u, side="right"), ties included
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum)))
+    for c in cum:
+        idx += u >= c
+    del u  # free the uniforms before the gather allocates the draws
     return np.asarray(values, dtype=float)[idx]
 
 
@@ -255,29 +258,39 @@ class CharfnResult:
 
 
 def phi_factor(p: ProbVector, t: float, k: int) -> complex:
-    """Factor k of the characteristic function: sum_m p_m * exp(i*m*t*3**-k)."""
+    """Factor k of the characteristic function: sum_m p_m * z**m with z = exp(i*t*3**-k), by Horner."""
+    p0, p1, p2, p3 = (float(v) for v in p.probs)
     w = t * 3.0 ** -k
-    return sum(float(pm) * cmath.exp(1j * m * w) for m, pm in enumerate(p.probs))
+    z = complex(math.cos(w), math.sin(w))
+    return ((p3 * z + p2) * z + p1) * z + p0
 
 
 def charfn(p: ProbVector, t: float, K: int) -> CharfnResult:
     """Characteristic function at t as the product of the first K digit factors.
 
-    The bound on |true - value| has three parts.
+    Factor k is P(z) = sum_m p_m z**m at z = exp(i*t*3**-k), evaluated as
+    phi_factor does: one cos and one sin, then Horner.  The bound on
+    |true - value| has three parts; eps is the machine epsilon.
 
     - Truncation: the omitted factors differ from 1 by at most 3|t|*3**-k
       each, so their product differs from 1 by at most expm1(1.5|t|*3**-K).
-    - Phase rounding: factor k evaluates exp(i*m*w) at the float
-      w = t * 3.0**-k and the float m*w.  The power is within one ulp of
-      3**-k and each product rounds once, so the phase m*w carries a relative
-      error of at most 2*eps + eps**2 and an absolute one of at most
-      m*|t|*3**-k*(2*eps + eps**2), with m <= 3.  Since |exp(ia) - exp(ib)|
-      <= |a - b|, factor k moves by at most 6.01*eps*|t|*3**-k.  The true
-      factors lie in the unit disc and the computed ones within a few ulps
-      of it, so the errors of the K factors add up in the product; 8 in
-      place of 6.01 leaves room for those ulps: 8*eps*|t|*sum_{k<=K} 3**-k.
-    - Arithmetic rounding: each factor and each product step adds a few ulps
-      of a number at most 1 in modulus; 16*K*eps covers them.
+    - Phase rounding: the float w = t * 3.0**-k has a relative error of at
+      most 2*eps + eps**2 (the power is within one ulp of 3**-k and the
+      product rounds once), so exp(iw) is within 2.01*eps*|t|*3**-k of the
+      true z.  On the disc |z| <= 1 + 2*eps, |P'(z)| <= sum_m m p_m
+      (1 + 2*eps)**2 <= 3.01, so the factor moves by at most
+      6.05*eps*|t|*3**-k.  The true factors lie in the unit disc and the
+      computed ones within a few ulps of it, so the errors of the K factors
+      add up in the product; 8 in place of 6.05 leaves room for those ulps:
+      8*eps*|t|*sum_{k<=K} 3**-k.
+    - Arithmetic rounding, per factor: cos and sin are each within one ulp,
+      at most eps, so the computed z is within sqrt(2)*eps of exp(iw), which
+      P' carries into the factor as at most 4.3*eps; rounding p to floats
+      adds 0.51*eps; Horner's three complex products (each within
+      sqrt(5)*eps/2 times the product of the moduli, which stay below
+      1 + 7*eps) and three additions (eps/2 of the real part each) add at
+      most 4.9*eps; and the step of the running product adds 1.12*eps.  That
+      is under 11*eps per factor, and 16*K*eps covers it.
 
     The first two grow with |t|; with K = 40 the phase part is the largest
     from about |t| = 160 on.
@@ -292,7 +305,12 @@ def charfn(p: ProbVector, t: float, K: int) -> CharfnResult:
         growth = math.expm1(1.5 * abs(t) * 3.0 ** -K)
     except OverflowError:
         raise ValueError(f"|t| = {abs(t):g} is too large to bound with K = {K} factors") from None
-    value = math.prod(phi_factor(p, t, k) for k in range(1, K + 1))
+    p0, p1, p2, p3 = (float(v) for v in p.probs)
+    value = 1 + 0j
+    for k in range(1, K + 1):  # phi_factor(p, t, k), inlined
+        w = t * 3.0 ** -k
+        z = complex(math.cos(w), math.sin(w))
+        value *= ((p3 * z + p2) * z + p1) * z + p0
     truncation = abs(value) * growth
     phase = 8 * _FLOAT_EPS * abs(t) * (1 - 3.0 ** -K) / 2
     rounding = 16 * K * _FLOAT_EPS

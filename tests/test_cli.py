@@ -95,6 +95,15 @@ def test_charfn_csv(capsys):
     assert float(rows[1][1]) == 1.0  # f(0) = 1
 
 
+@pytest.mark.parametrize("tmax,step,rows", [("1000", "0.1", 10001), ("33.3", "0.01", 3331), ("50", "0.5", 101)])
+def test_charfn_grid_points_do_not_drift(capsys, tmax, step, rows):
+    # 10000 steps of 0.1 added one by one end at 999.900000000159 and miss t = 1000
+    code, out, _ = run(capsys, "charfn", "1/4", "1/4", "1/4", "1/4", "--tmax", tmax, "--step", step, "--K", "10")
+    ts = [float(r[0]) for r in csv_rows(out)[1:]]
+    assert code == 0 and ts == [round(j * float(step), 10) for j in range(rows)]
+    assert ts[-1] == float(tmax)
+
+
 @pytest.mark.parametrize("argv", [
     ["cdf", "--tol", "nan"],
     ["charfn", "--K", "0"],
@@ -134,6 +143,22 @@ def test_dimension_bad_arguments_exit_1(capsys, argv):
     assert code == 1 and out == "" and "error" in err
 
 
+def test_dimension_count_too_long_to_print_fails_before_output(capsys):
+    # 2**2126 has 640 digits and 2**2127 has 641; a limit of 0 means none
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code, out, err = run(capsys, "dimension", "--digits", "12", "--nmax", "2127")
+        assert code == 1 and out == "" and "640 digits" in err
+        code, out, _ = run(capsys, "dimension", "--digits", "12", "--nmax", "2126")
+        assert code == 0 and len(out.splitlines()) == 2128
+        sys.set_int_max_str_digits(0)
+        code, out, _ = run(capsys, "dimension", "--digits", "12", "--nmax", "2127")
+        assert code == 0 and len(out.splitlines()) == 2129
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _imported_modules(*args):
     env = dict(os.environ, PYTHONPATH=str(Path(tern4.__file__).resolve().parent.parent))
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
@@ -145,6 +170,9 @@ def test_numpy_not_imported_by_cli():
     # only the samplers need numpy; everything else starts without it
     assert "numpy" not in _imported_modules("-c", "import tern4, tern4.cli")
     assert "numpy" not in _imported_modules("-m", "tern4.cli", "repr", "1010(12)")
+    law = ("1/4", "1/4", "1/4", "1/4")
+    assert "numpy" not in _imported_modules("-m", "tern4.cli", "charfn", *law, "--tmax", "2", "--step", "1")
+    assert "numpy" not in _imported_modules("-m", "tern4.cli", "lbound", *law, "--N", "2")
 
 
 def test_levelset_finite(capsys):

@@ -153,6 +153,58 @@ def test_charfn_bound_holds_against_mpmath_at_large_t():
             assert err <= r.tail_bound, (p, t, err, r.tail_bound)
 
 
+def _charfn_reference(laws, t):
+    """The full product prod_k sum_m p_m exp(i m t 3**-k) for each law, to 1e-24 before rounding to floats.
+
+    mpmath gives each exp(i t 3**-k) at 40 digits, once for all laws; the
+    products run in integers scaled by 2**100, which keeps 30 laws at 120
+    points within a second where mpmath complex arithmetic takes several.
+    """
+    import mpmath
+
+    one = 1 << 100
+    zs = []
+    with mpmath.workdps(40):
+        t, k = mpmath.mpf(t), 1
+        while 3 * abs(t) / mpmath.mpf(3) ** k > 1e-26:
+            z = mpmath.expj(t / mpmath.mpf(3) ** k)
+            zs.append((int(mpmath.nint(z.real * one)), int(mpmath.nint(z.imag * one))))
+            k += 1
+    values = []
+    for p in laws:
+        c = [round(v * one) for v in p.probs]
+        fr, fi = one, 0
+        for zr, zi in zs:
+            ar, ai = c[3], 0
+            for cm in (c[2], c[1], c[0]):  # Horner
+                ar, ai = ((ar * zr - ai * zi) >> 100) + cm, (ar * zi + ai * zr) >> 100
+            fr, fi = (fr * ar - fi * ai) >> 100, (fr * ai + fi * ar) >> 100
+        values.append(complex(fr / one, fi / one))
+    return values
+
+
+def test_charfn_bound_holds_for_every_zero_pattern():
+    # the bench laws, then two seeded laws per zero pattern (at least two nonzero
+    # digits) and four with full support: the bench t grid, the lbound witnesses
+    # and seeded |t| up to 1e11
+    rng = random.Random(7)
+    laws = [pv("1/4", "1/4", "1/4", "1/4"), pv("1/6", "1/3", "1/3", "1/6"),
+            pv("1/2", "1/4", "1/4", 0), pv("1/2", 0, 0, "1/2")]
+    patterns = [m for m in range(1, 16) if bin(m).count("1") >= 2]
+    for mask in patterns * 2 + [15] * 4:
+        w = [rng.randrange(1, 30) if mask >> i & 1 else 0 for i in range(4)]
+        laws.append(pv(*[F(x, sum(w)) for x in w]))
+    ts = [0.5 * j for j in range(101)] + [2 * math.pi * n for n in range(1, 11)]
+    ts += [rng.choice((-1, 1)) * 10 ** rng.uniform(0, 11) for _ in range(10)]
+    for t in ts:
+        for p, true in zip(laws, _charfn_reference(laws, t)):
+            r = M.charfn(p, t, 40)
+            err = abs(r.value - true)
+            assert err <= r.tail_bound, (p, t, err, r.tail_bound)
+            if 0 < abs(t) < 100:  # f(0) = 1 takes no factors; one factor bounds no large t
+                assert M.charfn(p, t, 1).value == M.phi_factor(p, t, 1)
+
+
 def test_charfn_functional_equation():
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -228,6 +280,42 @@ def test_sample_draws_pinned():
     assert M.sample(p, 12, seed=3) == F(45955, 531441)
     assert M.sample_many(p, 5, 12, seed=3).tolist() == [
         0.08647244002626821, 0.17470236583176682, 0.8039274350304172, 0.1585575821210633, 0.6717528380384652]
+
+
+def _draw_reference(values, weights, count, depth, seed):
+    """The inverse-CDF draw by binary search over the cumulative weights."""
+    u = np.random.default_rng(seed).random((count, depth))
+    cum = np.cumsum([float(x) for x in weights])[:-1]
+    return np.asarray(values, float)[np.searchsorted(cum, u, side="right")]
+
+
+def test_draw_matches_binary_search_bit_for_bit():
+    # every zero pattern of four weights repeats entries of the cumulative sums
+    rng = random.Random(3)
+    cases = []
+    for mask in range(1, 16):
+        w = [rng.randrange(1, 10) if mask >> i & 1 else 0 for i in range(4)]
+        cases.append([F(x, sum(w)) for x in w])
+    for _ in range(10):
+        w = [rng.random() if rng.random() > 0.2 else 0.0 for _ in range(4)]
+        cases.append([x / sum(w) for x in w] if any(w) else [1.0, 0.0, 0.0, 0.0])
+    for i, w in enumerate(cases):
+        for count, depth in ((300, 30), (1, 1), (1, 40), (50, 1)):
+            got = M._draw((0, 1, 2, 3), w, count, depth, seed=i)
+            assert np.array_equal(got, _draw_reference((0, 1, 2, 3), w, count, depth, seed=i)), (w, count, depth)
+    # a uniform equal to a cumulative weight counts that weight, as side="right" does
+    u0 = np.random.default_rng(5).random()
+    for w in ((u0, 1 - u0), (u0, 0, 0, 1 - u0)):
+        got = M._draw(range(len(w)), w, 4, 3, seed=5)
+        assert got[0, 0] == len(w) - 1
+        assert np.array_equal(got, _draw_reference(range(len(w)), w, 4, 3, seed=5))
+    # more values than an int8 index holds
+    got = M._draw(range(300), [1 / 300] * 300, 50, 20, seed=6)
+    assert np.array_equal(got, _draw_reference(range(300), [1 / 300] * 300, 50, 20, seed=6))
+    powers = 3.0 ** -np.arange(1, 21)
+    for values, w in (((2.5,), (1,)), ((0.5, 1.25, 2.0, 2.75), (0.1, 0.0, 0.6, 0.3))):
+        got = M.sample_digit_series(values, w, 100, 20, seed=9)
+        assert np.array_equal(got, _draw_reference(values, w, 100, 20, seed=9) @ powers)
 
 
 def test_sample_support_bounds():
