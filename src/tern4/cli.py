@@ -6,8 +6,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -95,14 +97,14 @@ def cmd_charfn(args) -> int:
         raise ValueError("need finite step > 0 and tmax >= 0")
     tmax = args.tmax + 1e-12
     measure.charfn(p, tmax, args.K)  # rejects bad K and a tmax it cannot bound before any output
+    # j * step, not a running sum, so rounding does not pile up
+    ts, grid = itertools.tee(itertools.takewhile(lambda t: t <= tmax,
+                                                 (j * args.step for j in itertools.count())))
     w = _csv_writer()
     w.writerow(["t", "re", "im", "abs", "tail_bound"])
-    j = 0
-    while (t := j * args.step) <= tmax:  # j * step, not a running sum, so rounding does not pile up
-        r = measure.charfn(p, t, args.K)
+    for t, r in zip(ts, measure.charfn_grid(p, grid, args.K)):
         w.writerow([_dec(t), _dec(r.value.real), _dec(r.value.imag),
                     _dec(abs(r.value)), _dec(r.tail_bound)])
-        j += 1
     return 0
 
 
@@ -274,9 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at interpreter exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left (`tern4 ... | head`): send what is still buffered to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

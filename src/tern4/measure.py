@@ -140,8 +140,26 @@ def classify(p: ProbVector) -> DistributionClass:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _draw(values, weights, count: int, depth: int, seed: int) -> np.ndarray:
-    """(count, depth) i.i.d. draws from `values` per `weights`, by inverse CDF of seeded uniforms."""
+_BLOCK = 8192  # uniforms per block of draws: the sampler's buffers stay in cache
+
+
+def _draw_blocks(values, weights, count: int, depth: int, seed: int):
+    """Yield (start, block): rows start, start + 1, ... of `count` x `depth` i.i.d. draws.
+
+    Each draw is an inverse CDF of a seeded uniform: the index of the value is
+    the number of cumulative weights at or below it, which is
+    searchsorted(..., side="right"), ties included.  One reused buffer holds
+    the uniforms of a block, filled in turn from one stream, so the blocks
+    are the rows of a single (count, depth) draw.
+
+    A block's product with a vector rounds as the same rows of the whole
+    array's product would, computed on one thread: every block but the last
+    has a multiple of 8 rows, so BLAS groups rows across the blocks as it
+    does across the whole array; the last block is never a lone row (numpy
+    takes a one-row product as a dot product, which sums differently); and a
+    block of about `_BLOCK` entries is too small for BLAS to split across
+    threads.  Depths past _BLOCK / 8 take blocks of 8 rows.
+    """
     import numpy as np  # imported here so that the rest of tern4 starts without numpy
 
     if depth < 1 or count < 1:
@@ -150,20 +168,39 @@ def _draw(values, weights, count: int, depth: int, seed: int) -> np.ndarray:
     if len(w) != len(values) or any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
         raise ValueError("weights must be non-negative and sum to 1 over the values")
     cum = np.cumsum(w)[:-1]
-    u = np.random.default_rng(seed).random((count, depth))
-    # the number of cum entries <= u, which is searchsorted(cum, u, side="right"), ties included
-    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum)))
-    for c in cum:
-        idx += u >= c
-    del u  # free the uniforms before the gather allocates the draws
-    return np.asarray(values, dtype=float)[idx]
+    vals = np.asarray(values, dtype=float)
+    rng = np.random.default_rng(seed)
+    rows = max(8, _BLOCK // depth // 8 * 8)
+    u = np.empty((min(count, rows + 1), depth))
+    idx = np.empty(u.shape, dtype=np.min_scalar_type(len(cum)))
+    start = 0
+    while start < count:
+        n = rows if count - start > rows + 1 else count - start  # a lone last row joins its block
+        ub, ib = u[:n], idx[:n]
+        rng.random(out=ub)
+        ib.fill(0)
+        for c in cum:
+            ib += ub >= c
+        yield start, vals.take(ib)
+        start += n
+
+
+def _draw(values, weights, count: int, depth: int, seed: int) -> np.ndarray:
+    """(count, depth) i.i.d. draws from `values` per `weights`, by inverse CDF of seeded uniforms."""
+    import numpy as np
+
+    return np.concatenate([block for _, block in _draw_blocks(values, weights, count, depth, seed)])
 
 
 def sample_digit_series(values, weights, count: int, depth: int, seed: int) -> np.ndarray:
     """`count` draws of the truncated series sum(v_k * 3**-k), digits i.i.d. per `weights`."""
     import numpy as np
 
-    return _draw(values, weights, count, depth, seed) @ (3.0 ** -np.arange(1, depth + 1))
+    powers = 3.0 ** -np.arange(1, depth + 1)
+    out = np.empty(max(count, 0))  # a count below 1 is refused by the draw
+    for start, block in _draw_blocks(values, weights, count, depth, seed):
+        np.matmul(block, powers, out=out[start:start + len(block)])
+    return out
 
 
 def sample(p: ProbVector, depth: int, seed: int) -> Fraction:
@@ -295,26 +332,41 @@ def charfn(p: ProbVector, t: float, K: int) -> CharfnResult:
     The first two grow with |t|; with K = 40 the phase part is the largest
     from about |t| = 160 on.
     """
+    return next(charfn_grid(p, (t,), K))
+
+
+def charfn_grid(p: ProbVector, ts, K: int):
+    """Yield charfn(p, t, K) for each t of `ts` in turn, bit for bit.
+
+    The floats of p and the powers 3.0**-k are made once for the whole grid;
+    each t gets the same checks, Horner steps and bound terms, in the same
+    order, as one call of charfn.  A t that charfn refuses raises ValueError
+    when the grid reaches it.
+    """
     if K < 1:
         raise ValueError("K must be positive")
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    if t == 0:
-        return CharfnResult(1 + 0j, 0.0)
-    try:
-        growth = math.expm1(1.5 * abs(t) * 3.0 ** -K)
-    except OverflowError:
-        raise ValueError(f"|t| = {abs(t):g} is too large to bound with K = {K} factors") from None
     p0, p1, p2, p3 = (float(v) for v in p.probs)
-    value = 1 + 0j
-    for k in range(1, K + 1):  # phi_factor(p, t, k), inlined
-        w = t * 3.0 ** -k
-        z = complex(math.cos(w), math.sin(w))
-        value *= ((p3 * z + p2) * z + p1) * z + p0
-    truncation = abs(value) * growth
-    phase = 8 * _FLOAT_EPS * abs(t) * (1 - 3.0 ** -K) / 2
+    powers = [3.0 ** -k for k in range(1, K + 1)]
+    tail = powers[-1]
     rounding = 16 * K * _FLOAT_EPS
-    return CharfnResult(value, truncation + phase + rounding)
+    for t in ts:
+        if not math.isfinite(t):
+            raise ValueError("t must be finite")
+        if t == 0:
+            yield CharfnResult(1 + 0j, 0.0)
+            continue
+        try:
+            growth = math.expm1(1.5 * abs(t) * tail)
+        except OverflowError:
+            raise ValueError(f"|t| = {abs(t):g} is too large to bound with K = {K} factors") from None
+        value = 1 + 0j
+        for s in powers:  # phi_factor(p, t, k), inlined
+            w = t * s
+            z = complex(math.cos(w), math.sin(w))
+            value *= ((p3 * z + p2) * z + p1) * z + p0
+        truncation = abs(value) * growth
+        phase = 8 * _FLOAT_EPS * abs(t) * (1 - tail) / 2
+        yield CharfnResult(value, truncation + phase + rounding)
 
 
 def limsup_lower_bound(p: ProbVector, N: int, K: int = 40) -> float:
@@ -325,8 +377,8 @@ def limsup_lower_bound(p: ProbVector, N: int, K: int = 40) -> float:
     """
     if N < 1:
         raise ValueError("N must be positive")
-    results = (charfn(p, 2 * math.pi * n, K) for n in range(1, N + 1))
-    return max(0.0, *(abs(r.value) - r.tail_bound for r in results))
+    results = charfn_grid(p, (2 * math.pi * n for n in range(1, N + 1)), K)
+    return max(0.0, max((abs(r.value) - r.tail_bound for r in results), default=0.0))
 
 
 # ---------------------------------------------------------------------------

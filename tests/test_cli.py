@@ -175,6 +175,24 @@ def test_numpy_not_imported_by_cli():
     assert "numpy" not in _imported_modules("-m", "tern4.cli", "lbound", *law, "--N", "2")
 
 
+@pytest.mark.parametrize("argv", [
+    ("charfn", "1/4", "1/4", "1/4", "1/4", "--tmax", "1000", "--step", "0.01"),
+    ("lbound", "1/4", "1/4", "1/4", "1/4"),
+    ("levelset", "1010(12)"),
+    ("repr", "1010(12)"),
+    ("dimension", "--digits", "013", "--nmax", "12"),
+])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # as in `tern4 charfn ... | head`: the reader is gone before the first write
+    env = dict(os.environ, PYTHONPATH=str(Path(tern4.__file__).resolve().parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "tern4.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1 and err == ""
+
+
 def test_levelset_finite(capsys):
     out = run_json(capsys, "levelset", "1010(12)", "--depth", "4")
     assert out["cardinality"] == "finite"

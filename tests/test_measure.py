@@ -1,9 +1,13 @@
 """Tests for the digit-law distribution: classification, sampling, CDF, charfn."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +240,62 @@ def test_limsup_lower_bound_examples():
     assert M.limsup_lower_bound(pv(0, "1/2", "1/4", "1/4"), 3, 40) > 1e-3
 
 
+def _charfn_one(p, t, K):
+    """The truncated product and its bound for one t, written out as a single call computes them."""
+    if t == 0:
+        return 1 + 0j, 0.0
+    p0, p1, p2, p3 = (float(v) for v in p.probs)
+    value = 1 + 0j
+    for k in range(1, K + 1):
+        w = t * 3.0 ** -k
+        z = complex(math.cos(w), math.sin(w))
+        value *= ((p3 * z + p2) * z + p1) * z + p0
+    bound = (abs(value) * math.expm1(1.5 * abs(t) * 3.0 ** -K)
+             + 8 * M._FLOAT_EPS * abs(t) * (1 - 3.0 ** -K) / 2 + 16 * K * M._FLOAT_EPS)
+    return value, bound
+
+
+def _bits(value, bound):
+    return value.real.hex(), value.imag.hex(), bound.hex()
+
+
+def test_charfn_grid_equals_charfn_bit_for_bit():
+    laws = [pv("1/4", "1/4", "1/4", "1/4"), pv("1/6", "1/3", "1/3", "1/6"),
+            pv("1/2", "1/4", "1/4", 0), pv("1/2", 0, 0, "1/2"),
+            ProbVector.parse(("0.1", "0.2", "0.3", "0.4"))]
+    ts = [0.5 * j for j in range(101)] + [2 * math.pi * n for n in range(1, 11)]
+    ts += [0, 0.0, -0.0, -0.5, -2 * math.pi, -17.25, 3]
+    for p in laws:
+        for K, big in ((1, 1e3), (12, 1e5), (40, 1e11)):  # the largest |t| each K can bound
+            grid_ts = ts + [big, -big]
+            grid = [_bits(r.value, r.tail_bound) for r in M.charfn_grid(p, grid_ts, K)]
+            one_by_one = [_bits(M.charfn(p, t, K).value, M.charfn(p, t, K).tail_bound) for t in grid_ts]
+            assert grid == one_by_one == [_bits(*_charfn_one(p, t, K)) for t in grid_ts], (p, K)
+        # lbound streams the same witnesses and keeps the best, clamped at 0
+        for N in (1, 10):
+            witnesses = M.charfn_grid(p, [2 * math.pi * n for n in range(1, N + 1)], 40)
+            best = max(abs(r.value) - r.tail_bound for r in witnesses)
+            assert M.limsup_lower_bound(p, N, 40) == max(0.0, best)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300])
+def test_charfn_grid_refuses_a_bad_t_when_it_reaches_it(bad):
+    grid = M.charfn_grid(pv("1/4", "1/4", "1/4", "1/4"), iter([0.5, 1.0, bad, 2.0]), 40)
+    assert next(grid).value == M.charfn(pv("1/4", "1/4", "1/4", "1/4"), 0.5, 40).value
+    next(grid)
+    with pytest.raises(ValueError):
+        next(grid)
+
+
+@pytest.mark.parametrize("K", [0, -3])
+def test_charfn_grid_refuses_k_below_one(K):
+    p = pv("1/4", "1/4", "1/4", "1/4")
+    with pytest.raises(ValueError, match="K must be positive"):
+        list(M.charfn_grid(p, [], K))  # before any t is read
+    with pytest.raises(ValueError, match="K must be positive"):
+        M.charfn(p, 1.0, K)
+
+
 def _simplex_grid_tenths():
     pts = []
     for i in range(11):
@@ -316,6 +376,60 @@ def test_draw_matches_binary_search_bit_for_bit():
     for values, w in (((2.5,), (1,)), ((0.5, 1.25, 2.0, 2.75), (0.1, 0.0, 0.6, 0.3))):
         got = M.sample_digit_series(values, w, 100, 20, seed=9)
         assert np.array_equal(got, _draw_reference(values, w, 100, 20, seed=9) @ powers)
+
+
+@pytest.mark.parametrize("block", [64, 1000])
+def test_draw_blocks_match_one_array_at_block_boundaries(monkeypatch, block):
+    monkeypatch.setattr(M, "_BLOCK", block)
+    w = (F(1, 6), F(1, 3), F(1, 3), F(1, 6))
+    for depth in (1, 12, 40, 41):
+        rows = len(next(M._draw_blocks((0, 1, 2, 3), w, 10 ** 6, depth, seed=0))[1])
+        assert rows % 8 == 0 and (rows == 8 or rows * depth <= block)
+        powers = 3.0 ** -np.arange(1, depth + 1)
+        for count in sorted({1, rows - 1, rows, rows + 1, 2 * rows + 1, 12345} - {0}):
+            seed = count + depth
+            ref = _draw_reference((0, 1, 2, 3), w, count, depth, seed)
+            sizes = [(start, len(b)) for start, b in M._draw_blocks((0, 1, 2, 3), w, count, depth, seed)]
+            assert [s for s, _ in sizes] == [0, *np.cumsum([n for _, n in sizes])[:-1]]
+            assert all(n == rows for _, n in sizes[:-1]) and (count == 1 or sizes[-1][1] > 1)
+            assert np.array_equal(M._draw((0, 1, 2, 3), w, count, depth, seed), ref), (depth, count)
+            got = M.sample_digit_series((0, 1, 2, 3), w, count, depth, seed)
+            assert np.array_equal(got, ref @ powers), (depth, count)
+
+
+def test_sample_many_memory_stays_block_sized():
+    import tracemalloc
+
+    p = pv("1/6", "1/3", "1/3", "1/6")
+    M.sample_many(p, 10, 40, seed=1)  # numpy's own first-use allocations are not the sampler's
+    tracemalloc.start()
+    try:
+        M.sample_many(p, 10 ** 5, 40, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6  # the (10**5, 40) draw in one array would take 32 MB for the uniforms alone
+
+
+_THREADS_SCRIPT = """
+import hashlib
+from tern4 import measure
+p = measure.ProbVector.parse(("1/4", "1/4", "1/4", "1/4"))
+for count, depth in ((205, 8193), (10000, 40)):
+    print(count, depth, hashlib.sha1(measure.sample_many(p, count, depth, seed=1).tobytes()).hexdigest())
+"""
+
+
+def test_sample_many_does_not_depend_on_blas_thread_count():
+    # one large matrix product is split across BLAS threads, which changes how it rounds
+    src = str(Path(M.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
+                              capture_output=True, text=True, env=env, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_sample_support_bounds():
