@@ -39,9 +39,20 @@ def _probvector(args) -> measure.ProbVector:
     return measure.ProbVector.parse(args.p)
 
 
+def _value(text: str) -> Fraction:
+    """A number given as 'a/b' or a decimal; Fraction's own ValueError covers other text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bad value {text!r}: zero denominator") from None
+
+
 def cmd_repr(args) -> int:
-    d = digits.parse(args.digitstring)
-    card = digits.classify_cardinality(d)
+    if "/" in args.digitstring:  # a value a/b stands for its lexicographically largest expansion
+        d = digits.largest_expansion(_value(args.digitstring))
+    else:
+        d = digits.parse(args.digitstring)
+    card, blocks, graph = digits._census(d)  # one walk of the residual graph serves both parts
     value = digits.evaluate(d)
     out = {
         "schema": SCHEMA,
@@ -54,7 +65,7 @@ def cmd_repr(args) -> int:
         out["count"] = card.count
     if card.kind is not digits.Cardinality.CONTINUUM:
         depth = args.depth if args.depth is not None else len(d.preperiod) + 6
-        reps = digits.enumerate_representations(d, depth)
+        reps = digits._expansions(d, depth, blocks, graph)
         out["depth"] = depth
         out["representations"] = [str(r) for r in reps]
     _emit_json(out)
@@ -82,12 +93,13 @@ def cmd_cdf(args) -> int:
     if args.grid < 2:
         raise ValueError("grid needs at least 2 points")
     measure.cdf(p, 0, args.tol)  # rejects a bad tolerance before any output
+    span = 2 * (args.grid - 1)
+    xs = (Fraction(3 * j, span) for j in range(args.grid))
     w = _csv_writer()
     w.writerow(["x", "lo", "hi"])
-    for j in range(args.grid):
-        x = Fraction(3, 2) * j / (args.grid - 1)
-        lo, hi = measure.cdf(p, x, args.tol)
-        w.writerow([_dec(x), _dec(lo), _dec(hi)])
+    # 3 * j / span rounds once, to the float of the exact x
+    for j, (lo, hi) in enumerate(measure.cdf_grid(p, xs, args.tol)):
+        w.writerow([_dec(3 * j / span), _dec(lo), _dec(hi)])
     return 0
 
 
@@ -191,17 +203,15 @@ def cmd_series(args) -> int:
             "n_checked": args.check,
         })
         return 0
-    try:
-        x = Fraction(args.greedy)
-    except ZeroDivisionError:
-        raise ValueError(f"bad value {args.greedy!r}: zero denominator") from None
-    bits = series.greedy_approximate(x, args.nmax)
+    bits = series.greedy_approximate(_value(args.greedy), args.nmax)
     if len(bits) % 3:
         bits = bits + (0,) * (3 - len(bits) % 3)  # padding leaves the subsum unchanged
     word = series.eta_subsum_digits(bits)
+    # str() of a value past Python's int-to-string limit raises: convert before any output
+    row = ["".join(map(str, bits)), "".join(map(str, word)), _exact(series.subsum(bits))]
     w = _csv_writer()
     w.writerow(["bits", "digits", "value"])
-    w.writerow(["".join(map(str, bits)), "".join(map(str, word)), _exact(series.subsum(bits))])
+    w.writerow(row)
     return 0
 
 
@@ -220,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="digit probabilities, each 'a/b' or a decimal")
 
     sp = sub.add_parser("repr", help="value, expansion cardinality and expansions of a digit string")
-    sp.add_argument("digitstring", help="e.g. '1010(12)'")
+    sp.add_argument("digitstring", help="e.g. '1010(12)', or a value a/b such as 245/648, "
+                                        "read as its lexicographically largest expansion")
     sp.add_argument("--depth", type=int, default=None, help="max preperiod length to enumerate")
     sp.set_defaults(func=cmd_repr)
 

@@ -240,18 +240,28 @@ def cylinder_overlap(base: Sequence[int], i: int) -> Cylinder:
 # 1/q in [0, 3/2], so a state is an integer numerator over the fixed q.  The
 # expansions of x are the infinite paths from n; every state has an out-edge.
 
-def _steps(n: int, q: int) -> list[tuple[int, int]]:
-    """Edges (c, 3n - c*q) from state n that keep the residual in [0, 3/2]."""
-    return [(c, 3 * n - c * q) for c in range(MAX_DIGIT + 1) if 0 <= 2 * (3 * n - c * q) <= 3 * q]
+class _Graph(dict):
+    """The residual graph over the fixed q: state n -> its edges (c, 3n - c*q) that keep
+    the residual in [0, 3/2].  A walk makes each state's edges once, on first use."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, n: int) -> list[tuple[int, int]]:
+        q = self.q
+        edges = self[n] = [(c, 3 * n - c * q) for c in range(MAX_DIGIT + 1)
+                           if 0 <= 2 * (3 * n - c * q) <= 3 * q]
+        return edges
 
 
-def _paths(n: int, q: int, m: int):
+def _paths(graph: _Graph, n: int, m: int):
     """Each length-m path from state n as (digit word, end state), in lexicographic order."""
     if m < 1:
         yield (), n
         return
     word: list[int] = []
-    stack = [iter(_steps(n, q))]
+    stack = [iter(graph[n])]
     while stack:
         step = next(stack[-1], None)
         if step is None:
@@ -262,7 +272,7 @@ def _paths(n: int, q: int, m: int):
             yield (*word, step[0]), step[1]
         else:
             word.append(step[0])
-            stack.append(iter(_steps(step[1], q)))
+            stack.append(iter(graph[step[1]]))
 
 
 def _state(x) -> tuple[int, int]:
@@ -273,12 +283,38 @@ def _state(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
+def _largest_walk(n: int, q: int):
+    """The largest-digit walk from state n, without end: each step yields (c, 3n - c*q)
+    for the largest admissible digit c = min(3, floor(3n/q))."""
+    while True:
+        c = min(MAX_DIGIT, 3 * n // q)
+        n = 3 * n - c * q
+        yield c, n
+
+
+def largest_expansion(x) -> DigitString:
+    """The lexicographically largest expansion of x in [0, 3/2].
+
+    The largest-digit walk of the residual graph spells this expansion.  Its
+    states are integers in [0, 3q/2] for the denominator q of x, so one
+    repeats, and the digits since its first visit are the repeating block.
+    """
+    n, q = _state(x)
+    seen, word = {n: 0}, []  # state -> the number of digits read before it
+    for c, n in _largest_walk(n, q):
+        word.append(c)
+        if n in seen:
+            break
+        seen[n] = len(word)
+    return DigitString(tuple(word[:seen[n]]), tuple(word[seen[n]:]))
+
+
 def admissible_prefixes(x, m: int) -> list[tuple[int, ...]]:
     """All length-m words that begin some expansion of x, in lexicographic order."""
     n, q = _state(x)
     if m < 1:
         raise ValueError("prefix length must be positive")
-    return [word for word, _ in _paths(n, q, m)]
+    return [word for word, _ in _paths(_Graph(q), n, m)]
 
 
 def count_expansion_prefixes(x, m: int) -> int:
@@ -286,11 +322,11 @@ def count_expansion_prefixes(x, m: int) -> int:
     n, q = _state(x)
     if m < 0:
         raise ValueError("depth must be non-negative")
-    level = {n: 1}
+    graph, level = _Graph(q), {n: 1}
     for _ in range(m):
         nxt: dict[int, int] = {}
         for s, k in level.items():
-            for _, t in _steps(s, q):
+            for _, t in graph[s]:
                 nxt[t] = nxt.get(t, 0) + k
         level = nxt
     return sum(level.values())
@@ -335,8 +371,9 @@ def classify_cardinality(d: DigitString) -> ReprCardinality:
     return _census(d)[0]
 
 
-def _census(d: DigitString) -> tuple[ReprCardinality, dict[int, tuple[int, ...]]]:
-    """Cardinality of the value of d, and the digit block of each cycle state."""
+def _census(d: DigitString) -> tuple[ReprCardinality, dict[int, tuple[int, ...]], _Graph]:
+    """Cardinality of the value of d, the digit block of each cycle state, and the residual
+    graph as far as the walk read it."""
     if d.period is None:
         raise ValueError("classification needs an eventually periodic digit string")
     n0, q = _state(evaluate(d))
@@ -344,14 +381,15 @@ def _census(d: DigitString) -> tuple[ReprCardinality, dict[int, tuple[int, ...]]
     paths: dict[int, int] = {}  # infinite paths from each state of a finished component
     blocks: dict[int, tuple[int, ...]] = {}
     exits = False
-    work = [(n0, iter(_steps(n0, q)))]
+    graph = _Graph(q)
+    work = [(n0, iter(graph[n0]))]
     while work:
         v, edges = work[-1]
         for _, w in edges:
             if w not in index:
                 index[w] = low[w] = len(index)
                 stack.append(w)
-                work.append((w, iter(_steps(w, q))))
+                work.append((w, iter(graph[w])))
                 break
             if w not in paths:  # still on the stack
                 low[v] = min(low[v], index[w])
@@ -367,10 +405,10 @@ def _census(d: DigitString) -> tuple[ReprCardinality, dict[int, tuple[int, ...]]
                 i -= 1
             comp = stack[i:]
             del stack[i:]
-            out = {u: _steps(u, q) for u in comp}
+            out = {u: graph[u] for u in comp}
             inner = {u: [(c, w) for c, w in out[u] if w in out] for u in comp}
             if sum(map(len, inner.values())) > len(comp):
-                return ReprCardinality(Cardinality.CONTINUUM), {}
+                return ReprCardinality(Cardinality.CONTINUUM), {}, graph
             if not inner[v]:
                 paths[v] = sum(paths[w] for _, w in out[v])
                 continue
@@ -384,10 +422,10 @@ def _census(d: DigitString) -> tuple[ReprCardinality, dict[int, tuple[int, ...]]
             for i, u in enumerate(ring):
                 paths[u], blocks[u] = 1, tuple(word[i:] + word[:i])
     if exits:
-        return ReprCardinality(Cardinality.COUNTABLE), blocks
+        return ReprCardinality(Cardinality.COUNTABLE), blocks, graph
     if paths[n0] == 1:
-        return ReprCardinality(Cardinality.UNIQUE), blocks
-    return ReprCardinality(Cardinality.FINITE, paths[n0]), blocks
+        return ReprCardinality(Cardinality.UNIQUE), blocks, graph
+    return ReprCardinality(Cardinality.FINITE, paths[n0]), blocks, graph
 
 
 def enumerate_representations(d: DigitString, m: int) -> list[DigitString]:
@@ -397,11 +435,18 @@ def enumerate_representations(d: DigitString, m: int) -> list[DigitString]:
     ends on a cycle is completed by that cycle's block; results are canonical
     and sorted by preperiod length then digits.
     """
-    card, blocks = _census(d)
+    card, blocks, graph = _census(d)
     if card.kind is Cardinality.CONTINUUM:
         raise ValueError("continuum many expansions; enumeration refused")
+    return _expansions(d, m, blocks, graph)
+
+
+def _expansions(d: DigitString, m: int, blocks: dict[int, tuple[int, ...]],
+                graph: _Graph) -> list[DigitString]:
+    """enumerate_representations(d, m), from the cycle blocks and the graph of a census of d
+    that found no continuum."""
     if m < len(d.preperiod):
         raise ValueError("depth must cover the preperiod")
-    n, q = _state(evaluate(d))
-    found = [DigitString(w, blocks[s]) for w, s in _paths(n, q, m) if s in blocks]
+    n, _ = _state(evaluate(d))
+    found = [DigitString(w, blocks[s]) for w, s in _paths(graph, n, m) if s in blocks]
     return sorted(found, key=lambda r: (len(r.preperiod), r.preperiod, r.period))

@@ -190,7 +190,7 @@ def level_set(y: DigitString, depth: int) -> LevelSet:
     continuum levels the independently rewritable pairs of the repeating block
     are reported instead.
     """
-    card = digits.classify_cardinality(y)
+    card, blocks, graph = digits._census(y)  # one walk of the residual graph serves both parts
     if card.kind is Cardinality.CONTINUUM:
         per = y.period
         cons = []
@@ -199,7 +199,7 @@ def level_set(y: DigitString, depth: int) -> LevelSet:
             if pair in digits.REWRITES:
                 cons.append((j + 1, pair, digits.REWRITES[pair]))
         return LevelSet(card, constraints=tuple(cons))
-    reps = digits.enumerate_representations(y, depth)
+    reps = digits._expansions(y, depth, blocks, graph)
     return LevelSet(card, members=tuple(digits.evaluate(r, base=4) for r in reps))
 
 

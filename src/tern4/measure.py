@@ -18,7 +18,6 @@ from enum import Enum
 from fractions import Fraction
 
 from tern4 import fractal
-from tern4.digits import TAIL_SUP
 
 THIRD = Fraction(1, 3)
 _SUM_TOL = 1e-12     # accepted drift of sum(p) for inexact inputs
@@ -231,53 +230,69 @@ def cdf(p: ProbVector, x, tol: float) -> tuple[Fraction, Fraction]:
     period, whose maps give V = P V + beta there: Cramer's rule, lo = hi = F(x).
     The pass ends, as all p_c < 1 make F continuous (hi - lo tends to 0) and a
     rational's remainder repeats within q steps.  Integer arithmetic: no rounding.
+    This is `cdf_grid` at the single point x.
+    """
+    return next(cdf_grid(p, (x,), tol))
+
+
+def cdf_grid(p: ProbVector, xs, tol: float):
+    """Iterator of cdf(p, x, tol) for each x of `xs` in turn, bit for bit.
+
+    The common denominator D of p, the integer weights D * p_c, their partial
+    sums, F(1) and the integers of tol are made once for the whole grid; each
+    x gets the same digit pass and period solve as one call of cdf.  A bad
+    tolerance raises ValueError at once, and an x that cdf refuses raises
+    ValueError when the grid reaches it.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
-    try:
-        x = Fraction(x)
-    except (OverflowError, ValueError):
-        raise ValueError(f"x must be a finite number, got {x!r}") from None
-    if x <= 0:
-        return Fraction(0), Fraction(0)
-    if x >= TAIL_SUP:
-        return Fraction(1), Fraction(1)
-    tol = Fraction(tol)
+    tol_num, tol_den = Fraction(tol).as_integer_ratio()
     D = math.lcm(*(v.denominator for v in p.probs))
-    w = [0] + [int(v * D) for v in p.probs] + [0, 0]  # w[c + 1] = D * p_c, 0 outside 0..3
+    w = [0] + [v.numerator * (D // v.denominator) for v in p.probs] + [0, 0]  # w[c + 1] = D * p_c
     below = [sum(w[:j]) for j in range(len(w))]  # below[t] = D * sum_{c <= t-2} p_c
+    f1_num, f1_den = w[1] + w[2], D - w[3]  # F(1), and 1 - F(1) = w[4] / f1_den
 
     def step(r0: int, r1: int, s: int, t: int) -> tuple[int, int, int]:  # D (r A_t, s + r . b_t)
         return (r0 * w[t + 1] + r1 * w[t + 4], r0 * w[t] + r1 * w[t + 3],
                 s * D + r0 * below[t] + r1 * below[t + 3])
 
-    f1_num, f1_den = w[1] + w[2], D - w[3]  # F(1), and 1 - F(1) = w[4] / f1_den
-    q = x.denominator
-    i, n = divmod(x.numerator, q)
-    # after k digits F(x) = (r0 F(n/q) + r1 F(n/q + 1) + s) / D**k, and den = f1_den * D**k
-    r0, r1, s, den = 1 - i, i, 0, f1_den
-    seen = {}  # remainder -> the step that met it
-    while n not in seen:
-        width = r0 * f1_num + r1 * w[4]  # (hi - lo) * den
-        if width * tol.denominator <= tol.numerator * den:
-            lo = Fraction(s * f1_den + r1 * f1_num, den)
-            return lo, lo + Fraction(width, den)
-        seen[n] = len(seen)
-        t, n = divmod(3 * n, q)
-        r0, r1, s = step(r0, r1, s, t)
-        den *= D
-    # n came back after the remainders m met since it: V(n/q) = (P V(n/q) + beta) / E
-    k = seen[n]
-    rows = [(1, 0, 0), (0, 1, 0)]  # the rows of [P | beta], by the same step
-    for m in list(seen)[k:]:
-        rows = [step(*row, 3 * m // q) for row in rows]
-    (a, b, beta0), (c, d, beta1) = rows
-    E = D ** (len(seen) - k)
-    det = (E - a) * (E - d) - b * c  # of E I - P
-    v0 = beta0 * (E - d) + b * beta1  # V(n/q) = (v0, v1) / det
-    v1 = beta1 * (E - a) + c * beta0
-    value = Fraction(r0 * v0 + r1 * v1 + s * det, D ** len(seen) * det)
-    return value, value
+    def point(x) -> tuple[Fraction, Fraction]:
+        try:
+            x = Fraction(x)
+        except (OverflowError, ValueError):
+            raise ValueError(f"x must be a finite number, got {x!r}") from None
+        q = x.denominator
+        if x.numerator <= 0:
+            return Fraction(0), Fraction(0)
+        if 2 * x.numerator >= 3 * q:  # x >= 3/2
+            return Fraction(1), Fraction(1)
+        i, n = divmod(x.numerator, q)
+        # after k digits F(x) = (r0 F(n/q) + r1 F(n/q + 1) + s) / D**k, and den = f1_den * D**k
+        r0, r1, s, den = 1 - i, i, 0, f1_den
+        seen = {}  # remainder -> the step that met it
+        while n not in seen:
+            width = r0 * f1_num + r1 * w[4]  # (hi - lo) * den
+            if width * tol_den <= tol_num * den:
+                lo = s * f1_den + r1 * f1_num
+                return Fraction(lo, den), Fraction(lo + width, den)
+            seen[n] = len(seen)
+            t, n = divmod(3 * n, q)
+            r0, r1, s = step(r0, r1, s, t)
+            den *= D
+        # n came back after the remainders m met since it: V(n/q) = (P V(n/q) + beta) / E
+        k = seen[n]
+        rows = [(1, 0, 0), (0, 1, 0)]  # the rows of [P | beta], by the same step
+        for m in list(seen)[k:]:
+            rows = [step(*row, 3 * m // q) for row in rows]
+        (a, b, beta0), (c, d, beta1) = rows
+        E = D ** (len(seen) - k)
+        det = (E - a) * (E - d) - b * c  # of E I - P
+        v0 = beta0 * (E - d) + b * beta1  # V(n/q) = (v0, v1) / det
+        v1 = beta1 * (E - a) + c * beta0
+        value = Fraction(r0 * v0 + r1 * v1 + s * det, D ** len(seen) * det)
+        return value, value
+
+    return map(point, xs)
 
 
 # ---------------------------------------------------------------------------

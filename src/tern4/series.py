@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from tern4.digits import TAIL_SUP, DigitString
+from tern4.digits import TAIL_SUP, DigitString, _largest_walk
 
 
 def series_term(n: int) -> Fraction:
@@ -45,33 +45,40 @@ def _checked_bits(bits: Sequence[int]) -> tuple[int, ...]:
 
 
 def subsum(bits: Sequence[int]) -> Fraction:
-    """Exact subsum sum(bit_n * u_n)."""
-    return sum(
-        (series_term(n + 1) for n, b in enumerate(_checked_bits(bits)) if b),
-        Fraction(0),
-    )
+    """Exact subsum sum(bit_n * u_n), by one Horner pass over the groups of three terms.
+
+    The terms of group k (bits 3k-2, 3k-1, 3k; the last group may be short)
+    are each 3**-k, so the subsum is sum_k d_k 3**-k with d_k the number of
+    ones in group k.
+    """
+    bs = _checked_bits(bits)
+    acc = 0
+    for i in range(0, len(bs), 3):
+        acc = 3 * acc + sum(bs[i:i + 3])
+    return Fraction(acc, 3 ** ((len(bs) + 2) // 3))
 
 
 def greedy_approximate(x, n_max: int) -> tuple[int, ...]:
     """Greedy selector hitting x from below: take u_n whenever the sum stays <= x.
 
     The tie rule is <=, so finite subsums are attained exactly; otherwise the
-    gap is at most r_{n_max}.
+    gap is at most r_{n_max}.  This is the largest-digit walk y -> 3y - c of
+    the residual graph, in integers (y = r/b for x = a/b): the g <= 3 terms
+    of group k are 3**-k each, so from the residual y of the first k - 1
+    groups the greedy takes d = min(g, floor(3y)) of them, then g - d zeros.
+    That is min(g, c) for the walk's digit c = min(3, floor(3y)), and 3y - c
+    is the next residual.
     """
     x = Fraction(x)
     if not 0 <= x <= TAIL_SUP:
         raise ValueError(f"target {x} outside [0, 3/2]")
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    bits = []
-    partial = Fraction(0)
-    for n in range(1, n_max + 1):
-        t = series_term(n)
-        if partial + t <= x:
-            partial += t
-            bits.append(1)
-        else:
-            bits.append(0)
+    bits: list[int] = []
+    for n, (c, _) in zip(range(0, n_max, 3), _largest_walk(x.numerator, x.denominator)):
+        g = min(3, n_max - n)
+        d = min(g, c)
+        bits += (1,) * d + (0,) * (g - d)
     return tuple(bits)
 
 

@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import tern4
-from tern4 import cli
+from tern4 import cli, digits
 
 
 def run(capsys, *argv):
@@ -244,3 +245,60 @@ def test_series_flags_mutually_exclusive(capsys):
         cli.main(["series", "--check", "5", "--greedy", "1/2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value, text", [("245/648", "1010(12)"), ("3/2", "(3)"), ("0/1", "(0)")])
+def test_repr_of_a_value_is_repr_of_its_largest_expansion(capsys, value, text):
+    code, out, err = run(capsys, "repr", value)
+    assert code == 0 and err == ""
+    assert out == run(capsys, "repr", text)[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("repr", "1010"),                          # a word with no period
+    ("levelset", "1010"),
+    ("repr", "1010(12)", "--depth", "3"),      # a depth below the preperiod
+    ("levelset", "1010(12)", "--depth", "3"),
+    ("repr", "47"),                            # not a digit string
+    ("levelset", "47"),
+    ("repr", "8/5"),                           # a value outside [0, 3/2]
+    ("repr", "1/0"),
+    ("levelset", "8/5"),                       # levelset reads digit strings only
+])
+def test_repr_and_levelset_domain_errors_exit_1_before_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [("repr", "1010(12)"), ("repr", "245/648"), ("repr", "(10)"),
+                                  ("levelset", "1010(12)"), ("levelset", "(10)")])
+def test_repr_and_levelset_walk_the_residual_graph_once(capsys, monkeypatch, argv):
+    calls = []
+    census = digits._census
+    monkeypatch.setattr(digits, "_census", lambda d: calls.append(d) or census(d))
+    run_json(capsys, *argv)
+    assert len(calls) == 1
+
+
+def test_series_value_too_long_to_print_fails_before_output(capsys):
+    # the subsum of 4023 ones has a 640-digit numerator and of 4024 ones a 641-digit one
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code, out, err = run(capsys, "series", "--greedy", "3/2", "--nmax", "4024")
+        assert code == 1 and out == "" and "limit" in err
+        code, out, _ = run(capsys, "series", "--greedy", "3/2", "--nmax", "4023")
+        assert code == 0 and csv_rows(out)[1][0] == "1" * 4023
+        sys.set_int_max_str_digits(0)
+        code, out, _ = run(capsys, "series", "--greedy", "3/2", "--nmax", "4024")
+        assert code == 0 and csv_rows(out)[1][0] == "1" * 4024 + "00"  # padded to whole digits
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_series_greedy_long_selector_finishes_in_a_second(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "series", "--greedy", "1/3", "--nmax", "100000")
+    assert time.perf_counter() - start < 1.0
+    bits, word, value = csv_rows(out)[1]
+    assert code == 0 and bits == "1" + "0" * 100_001 and value == "1/3"  # padded to 100002 bits

@@ -209,6 +209,19 @@ def test_admissible_prefixes_rejects_out_of_range():
         D.admissible_prefixes(F(-1, 5), 2)
 
 
+def test_largest_expansion_is_the_last_admissible_prefix_exhaustive():
+    # each state has an out-edge, so the largest length-m prefix begins the largest expansion
+    for q in range(1, 31):
+        for n in range(3 * q // 2 + 1):
+            x = F(n, q)
+            e = D.largest_expansion(x)
+            assert D.evaluate(e) == x
+            assert e.expand(8) == D.admissible_prefixes(x, 8)[-1], x
+    assert str(D.largest_expansion(F(245, 648))) == "1010(12)"
+    with pytest.raises(ValueError):
+        D.largest_expansion(F(8, 5))
+
+
 @given(st.fractions(min_value=0, max_value=F(3, 2), max_denominator=200), st.integers(1, 6))
 @settings(max_examples=60)
 def test_prefix_count_matches_listing(x, m):

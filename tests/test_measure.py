@@ -589,6 +589,36 @@ def test_cdf_exact_at_rationals_against_elimination_oracle():
             assert lo == hi == exact[x], (vals, x, lo, hi, exact[x])
 
 
+def test_cdf_grid_equals_cdf_bit_for_bit():
+    # the bench grid, random rationals (some outside [0, 3/2]) and random floats, each law
+    rng = random.Random(23)
+    grid = [F(3 * j, 100) for j in range(51)]
+    rationals = [F(rng.randrange(-20, 400), rng.randrange(1, 250)) for _ in range(60)]
+    floats = [rng.uniform(-0.1, 1.6) for _ in range(30)] + [0.0, -0.0, 1.5, 2.0 ** -1074]
+    for vals in _EXHAUSTIVE_LAWS:
+        p = pv(*vals)
+        for xs, tol in ((grid, 1e-4), (rationals, 1e-9), (floats, 1e-4), (floats, 0.25)):
+            got = list(M.cdf_grid(p, xs, tol))
+            assert got == [M.cdf(p, x, tol) for x in xs], vals
+            assert all(type(v) is F for pair in got for v in pair)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cdf_grid_refuses_a_non_finite_x_when_it_reaches_it(bad):
+    p = pv("1/4", "1/4", "1/4", "1/4")
+    grid = M.cdf_grid(p, iter([F(1, 2), 0.25, bad, F(1, 3)]), 1e-4)
+    assert next(grid) == M.cdf(p, F(1, 2), 1e-4)
+    assert next(grid) == M.cdf(p, 0.25, 1e-4)
+    with pytest.raises(ValueError, match="finite"):
+        next(grid)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
+def test_cdf_grid_refuses_a_bad_tolerance_before_any_x(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        M.cdf_grid(pv("1/4", "1/4", "1/4", "1/4"), iter([math.nan]), tol)
+
+
 def test_cdf_functional_equation():
     rng = random.Random(31)
     pts = rng.sample(_simplex_grid_tenths(), 8)

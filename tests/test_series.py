@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -107,3 +108,55 @@ def test_binomial_bridge_matches_eta_law():
     expected = [float(v) * n for v in p.probs]
     chi2 = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
     assert chi2 < 11.345  # 1% critical value, 3 degrees of freedom
+
+
+def _greedy_fraction(x, n_max):
+    """The greedy term by term in Fraction arithmetic: the reference for the integer walk."""
+    bits, partial = [], F(0)
+    for n in range(1, n_max + 1):
+        t = S.series_term(n)
+        if partial + t <= x:
+            partial += t
+            bits.append(1)
+        else:
+            bits.append(0)
+    return tuple(bits)
+
+
+def _subsum_fraction(bits):
+    return sum((S.series_term(n + 1) for n, b in enumerate(bits) if b), F(0))
+
+
+def test_integer_greedy_and_subsum_match_fraction_reference_exhaustive():
+    # every n/q in [0, 3/2] with q <= 60, every length up to 31 (short last groups included)
+    points = sorted({F(m, q) for q in range(1, 61) for m in range(3 * q // 2 + 1)})
+    assert len(points) == 1654
+    for x in points:
+        # the reference takes its n-th bit before it looks at n_max, so each length is a prefix
+        ref = _greedy_fraction(x, 31)
+        ref_sums = list(accumulate((S.series_term(n) * b for n, b in enumerate(ref, 1)), initial=F(0)))
+        assert ref_sums[-1] == _subsum_fraction(ref)
+        for n_max in range(1, 32):
+            bits = S.greedy_approximate(x, n_max)
+            assert bits == ref[:n_max], (x, n_max)
+            assert S.subsum(bits) == ref_sums[n_max], (x, n_max)
+
+
+def test_subsum_matches_fraction_reference_on_random_bits():
+    rng = random.Random(17)
+    for n in range(0, 40):
+        for _ in range(20):
+            bits = tuple(rng.randrange(2) for _ in range(n))
+            assert S.subsum(bits) == _subsum_fraction(bits)
+    assert type(S.subsum(())) is F
+
+
+def test_greedy_is_linear_in_n_max():
+    # the term-by-term Fraction greedy costs quadratically in n_max
+    import time
+
+    start = time.perf_counter()
+    bits = S.greedy_approximate(F(1, 7), 100_000)
+    value = S.subsum(bits)
+    assert time.perf_counter() - start < 1.0
+    assert 0 <= F(1, 7) - value <= S.series_remainder(100_000)
