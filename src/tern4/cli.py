@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -52,7 +53,7 @@ def cmd_repr(args) -> int:
         d = digits.largest_expansion(_value(args.digitstring))
     else:
         d = digits.parse(args.digitstring)
-    card, blocks, graph = digits._census(d)  # one walk of the residual graph serves both parts
+    card, expand = digits._census(d)  # one walk of the residual graph serves both parts
     value = digits.evaluate(d)
     out = {
         "schema": SCHEMA,
@@ -65,9 +66,8 @@ def cmd_repr(args) -> int:
         out["count"] = card.count
     if card.kind is not digits.Cardinality.CONTINUUM:
         depth = args.depth if args.depth is not None else len(d.preperiod) + 6
-        reps = digits._expansions(d, depth, blocks, graph)
         out["depth"] = depth
-        out["representations"] = [str(r) for r in reps]
+        out["representations"] = [str(r) for r in expand(depth)]
     _emit_json(out)
     return 0
 
@@ -92,13 +92,13 @@ def cmd_cdf(args) -> int:
     p = _probvector(args)
     if args.grid < 2:
         raise ValueError("grid needs at least 2 points")
-    measure.cdf(p, 0, args.tol)  # rejects a bad tolerance before any output
     span = 2 * (args.grid - 1)
-    xs = (Fraction(3 * j, span) for j in range(args.grid))
+    # cdf_grid rejects a bad tolerance when called, before any output
+    grid = measure.cdf_grid(p, (Fraction(3 * j, span) for j in range(args.grid)), args.tol)
     w = _csv_writer()
     w.writerow(["x", "lo", "hi"])
     # 3 * j / span rounds once, to the float of the exact x
-    for j, (lo, hi) in enumerate(measure.cdf_grid(p, xs, args.tol)):
+    for j, (lo, hi) in enumerate(grid):
         w.writerow([_dec(3 * j / span), _dec(lo), _dec(hi)])
     return 0
 
@@ -215,10 +215,19 @@ def cmd_series(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a minus sign followed by a digit, or by '.' and a digit, as the start of a value, not
+    an option (argparse's own test takes only -N and -N.N), so -1/2 fails as a domain error."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every call to `main`."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tern4",
         description="base-3 numeral system with digits {0,1,2,3}: expansions, "
                     "digit-law distributions, fractal dimensions",

@@ -12,11 +12,12 @@ how many expansions a number has.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 BASE = 3
 MAX_DIGIT = 3
@@ -89,12 +90,8 @@ class DigitString:
         """First n digits of the digit sequence (fewer if the word is finite)."""
         if self.period is None or n <= len(self.preperiod):
             return self.preperiod[:n]
-        out = list(self.preperiod)
-        i = 0
-        while len(out) < n:
-            out.append(self.period[i % len(self.period)])
-            i += 1
-        return tuple(out)
+        laps = -((len(self.preperiod) - n) // len(self.period))  # ceil((n - len(pre)) / len(per))
+        return (self.preperiod + self.period * laps)[:n]
 
     def __str__(self) -> str:
         body = "".join(map(str, self.preperiod))
@@ -223,14 +220,7 @@ def cylinder_overlap(base: Sequence[int], i: int) -> Cylinder:
     """
     if i not in (0, 1, 2):
         raise ValueError("digit 3 has no right neighbour")
-    word = _check_digits(base)
-    lo_child = cylinder_number_interval(Cylinder(word + (i,)))
-    hi_child = cylinder_number_interval(Cylinder(word + (i + 1,)))
-    meet = (max(lo_child[0], hi_child[0]), min(lo_child[1], hi_child[1]))
-    overlap = Cylinder(word + (i, 3))
-    assert cylinder_number_interval(overlap) == meet
-    assert cylinder_number_interval(Cylinder(word + (i + 1, 0))) == meet
-    return overlap
+    return Cylinder(_check_digits(base) + (i, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +263,20 @@ def _paths(graph: _Graph, n: int, m: int):
         else:
             word.append(step[0])
             stack.append(iter(graph[step[1]]))
+
+
+def _levels(graph, start):
+    """Path counts one level at a time, without end: for k = 0, 1, ... the number of
+    length-k paths from `start` to each state they reach.  `graph` maps a state to its
+    edges [(label, next state)]; a state with no edges ends its paths."""
+    level = {start: 1}
+    while True:
+        yield level
+        nxt = {}
+        for s, k in level.items():
+            for _, t in graph[s]:
+                nxt[t] = nxt.get(t, 0) + k
+        level = nxt
 
 
 def _state(x) -> tuple[int, int]:
@@ -322,13 +326,7 @@ def count_expansion_prefixes(x, m: int) -> int:
     n, q = _state(x)
     if m < 0:
         raise ValueError("depth must be non-negative")
-    graph, level = _Graph(q), {n: 1}
-    for _ in range(m):
-        nxt: dict[int, int] = {}
-        for s, k in level.items():
-            for _, t in graph[s]:
-                nxt[t] = nxt.get(t, 0) + k
-        level = nxt
+    level = next(itertools.islice(_levels(_Graph(q), n), m, None))  # the ends of the length-m paths
     return sum(level.values())
 
 
@@ -371,16 +369,16 @@ def classify_cardinality(d: DigitString) -> ReprCardinality:
     return _census(d)[0]
 
 
-def _census(d: DigitString) -> tuple[ReprCardinality, dict[int, tuple[int, ...]], _Graph]:
-    """Cardinality of the value of d, the digit block of each cycle state, and the residual
-    graph as far as the walk read it."""
+def _census(d: DigitString) -> tuple[ReprCardinality, Callable[[int], list[DigitString]]]:
+    """Cardinality of the value of d, and `expand`: expand(m) is enumerate_representations(d, m),
+    read from the same walk of the residual graph."""
     if d.period is None:
         raise ValueError("classification needs an eventually periodic digit string")
     n0, q = _state(evaluate(d))
     index, low, stack = {n0: 0}, {n0: 0}, [n0]
     paths: dict[int, int] = {}  # infinite paths from each state of a finished component
-    blocks: dict[int, tuple[int, ...]] = {}
-    exits = False
+    blocks: dict[int, tuple[int, ...]] = {}  # the digit block of each cycle state
+    exits, card = False, None
     graph = _Graph(q)
     work = [(n0, iter(graph[n0]))]
     while work:
@@ -408,7 +406,8 @@ def _census(d: DigitString) -> tuple[ReprCardinality, dict[int, tuple[int, ...]]
             out = {u: graph[u] for u in comp}
             inner = {u: [(c, w) for c, w in out[u] if w in out] for u in comp}
             if sum(map(len, inner.values())) > len(comp):
-                return ReprCardinality(Cardinality.CONTINUUM), {}, graph
+                card = ReprCardinality(Cardinality.CONTINUUM)
+                break
             if not inner[v]:
                 paths[v] = sum(paths[w] for _, w in out[v])
                 continue
@@ -421,11 +420,20 @@ def _census(d: DigitString) -> tuple[ReprCardinality, dict[int, tuple[int, ...]]
                 word.append(c)
             for i, u in enumerate(ring):
                 paths[u], blocks[u] = 1, tuple(word[i:] + word[:i])
-    if exits:
-        return ReprCardinality(Cardinality.COUNTABLE), blocks, graph
-    if paths[n0] == 1:
-        return ReprCardinality(Cardinality.UNIQUE), blocks, graph
-    return ReprCardinality(Cardinality.FINITE, paths[n0]), blocks, graph
+    if card is None:
+        card = (ReprCardinality(Cardinality.COUNTABLE) if exits
+                else ReprCardinality(Cardinality.UNIQUE) if paths[n0] == 1
+                else ReprCardinality(Cardinality.FINITE, paths[n0]))
+
+    def expand(m: int) -> list[DigitString]:
+        if card.kind is Cardinality.CONTINUUM:
+            raise ValueError("continuum many expansions; enumeration refused")
+        if m < len(d.preperiod):
+            raise ValueError("depth must cover the preperiod")
+        found = [DigitString(w, blocks[s]) for w, s in _paths(graph, n0, m) if s in blocks]
+        return sorted(found, key=lambda r: (len(r.preperiod), r.preperiod, r.period))
+
+    return card, expand
 
 
 def enumerate_representations(d: DigitString, m: int) -> list[DigitString]:
@@ -435,18 +443,4 @@ def enumerate_representations(d: DigitString, m: int) -> list[DigitString]:
     ends on a cycle is completed by that cycle's block; results are canonical
     and sorted by preperiod length then digits.
     """
-    card, blocks, graph = _census(d)
-    if card.kind is Cardinality.CONTINUUM:
-        raise ValueError("continuum many expansions; enumeration refused")
-    return _expansions(d, m, blocks, graph)
-
-
-def _expansions(d: DigitString, m: int, blocks: dict[int, tuple[int, ...]],
-                graph: _Graph) -> list[DigitString]:
-    """enumerate_representations(d, m), from the cycle blocks and the graph of a census of d
-    that found no continuum."""
-    if m < len(d.preperiod):
-        raise ValueError("depth must cover the preperiod")
-    n, _ = _state(evaluate(d))
-    found = [DigitString(w, blocks[s]) for w, s in _paths(graph, n, m) if s in blocks]
-    return sorted(found, key=lambda r: (len(r.preperiod), r.preperiod, r.period))
+    return _census(d)[1](m)

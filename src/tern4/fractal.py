@@ -14,6 +14,7 @@ sets.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,27 @@ def _checked_digit_set(digit_set: Iterable[int], base: int) -> tuple[int, ...]:
     return V
 
 
+class _Differences(dict):
+    """The difference automaton over the digits V: state S -> its edges (c, T), one for each
+    digit c whose T does not hold 0.  A walk makes each state's edges once, on first use."""
+
+    def __init__(self, V: tuple[int, ...], base: int):
+        super().__init__()
+        self.V, self.base = V, base
+
+    def __missing__(self, S: frozenset) -> list[tuple[int, frozenset]]:
+        V, base = self.V, self.base
+        span = V[-1] - V[0]
+        edges = self[S] = []
+        for c in V:
+            T = {base * d + e - c for d in S for e in V}
+            T.update(e - c for e in V if e < c)
+            T = frozenset(d for d in T if abs(d) * (base - 1) <= span)
+            if 0 not in T:
+                edges.append((c, T))
+        return edges
+
+
 def _cell_counts(V: tuple[int, ...], n_max: int, base: int) -> list[int]:
     """Distinct values sum(c_k * base**(n-k)) over words of V**n, for n = 1..n_max.
 
@@ -47,37 +69,12 @@ def _cell_counts(V: tuple[int, ...], n_max: int, base: int) -> list[int]:
     max V - min V, the most the remaining digits can make up.  Reading the
     digit c maps S to {base*d + c' - c : d in S, c' in V} together with
     {c' - c : c' in V, c' < c}, then filters.  Once 0 is in S the word ties a
-    smaller one, and so do all its extensions, so those states are dropped.
+    smaller one, and so do all its extensions, so those edges are dropped.
     The states form a finite automaton (the differences are bounded integers);
     N(n) is the number of length-n paths from the empty set.
     """
-    span = V[-1] - V[0]
-    index = {frozenset(): 0}
-    edges: list[list[int]] = []
-    states = [frozenset()]
-    for S in states:  # breadth first; `states` grows as new sets are found
-        row = []
-        for c in V:
-            T = {base * d + e - c for d in S for e in V}
-            T.update(e - c for e in V if e < c)
-            T = frozenset(d for d in T if abs(d) * (base - 1) <= span)
-            if 0 in T:
-                continue
-            if T not in index:
-                index[T] = len(states)
-                states.append(T)
-            row.append(index[T])
-        edges.append(row)
-    paths = [1] + [0] * (len(states) - 1)
-    counts = []
-    for _ in range(n_max):
-        nxt = [0] * len(states)
-        for s, k in enumerate(paths):
-            for t in edges[s]:
-                nxt[t] += k
-        paths = nxt
-        counts.append(sum(paths))
-    return counts
+    levels = itertools.islice(digits._levels(_Differences(V, base), frozenset()), 1, n_max + 1)
+    return [sum(level.values()) for level in levels]
 
 
 def count_cells(digit_set: Iterable[int], n: int, base: int = 3) -> int:
@@ -128,14 +125,12 @@ def box_dimension(digit_set: Iterable[int], n_max: int, base: int = 3) -> Dimens
 
 def dimension_target(digit_set: Iterable[int]) -> float:
     """Known dimension of the base-3 expansion set over the given digits."""
-    V = frozenset(int(c) for c in digit_set)
-    if not V <= {0, 1, 2, 3} or not V:
-        raise ValueError("digit set must be a non-empty subset of {0,1,2,3}")
+    V = _checked_digit_set(digit_set, 3)
     if len(V) == 1:
         return 0.0
     if len(V) == 2:
         return DIM_TWO_DIGITS
-    if V in ({0, 1, 3}, {0, 2, 3}):
+    if V in ((0, 1, 3), (0, 2, 3)):
         return DIM_SPARSE_TRIPLE
     return 1.0  # three consecutive digits, or all four, fill an interval
 
@@ -190,17 +185,12 @@ def level_set(y: DigitString, depth: int) -> LevelSet:
     continuum levels the independently rewritable pairs of the repeating block
     are reported instead.
     """
-    card, blocks, graph = digits._census(y)  # one walk of the residual graph serves both parts
+    card, expand = digits._census(y)  # one walk of the residual graph serves both parts
     if card.kind is Cardinality.CONTINUUM:
-        per = y.period
-        cons = []
-        for j in range(len(per)):
-            pair = (per[j], per[(j + 1) % len(per)])
-            if pair in digits.REWRITES:
-                cons.append((j + 1, pair, digits.REWRITES[pair]))
-        return LevelSet(card, constraints=tuple(cons))
-    reps = digits._expansions(y, depth, blocks, graph)
-    return LevelSet(card, members=tuple(digits.evaluate(r, base=4) for r in reps))
+        # the pairs of the block read cyclically: the last digit pairs with the first
+        sites = digits.rewrite_sites(DigitString((), y.period), len(y.period))
+        return LevelSet(card, constraints=tuple((r.position, r.src, r.dst) for r in sites))
+    return LevelSet(card, members=tuple(digits.evaluate(r, base=4) for r in expand(depth)))
 
 
 #: base-16 digits 4a+b packed from the continuation pairs (a,b) in {(1,0),(0,3)}

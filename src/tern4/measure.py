@@ -18,6 +18,7 @@ from enum import Enum
 from fractions import Fraction
 
 from tern4 import fractal
+from tern4.digits import word_value
 
 THIRD = Fraction(1, 3)
 _SUM_TOL = 1e-12     # accepted drift of sum(p) for inexact inputs
@@ -204,8 +205,7 @@ def sample_digit_series(values, weights, count: int, depth: int, seed: int) -> n
 
 def sample(p: ProbVector, depth: int, seed: int) -> Fraction:
     """One exact truncated draw sum(d_k * 3**-k); truncation error <= (3/2)*3**-depth."""
-    digits = _draw((0, 1, 2, 3), p.probs, 1, depth, seed)[0]
-    return sum(Fraction(int(d), 3 ** k) for k, d in enumerate(digits, 1))
+    return word_value([int(d) for d in _draw((0, 1, 2, 3), p.probs, 1, depth, seed)[0]])
 
 
 def sample_many(p: ProbVector, count: int, depth: int, seed: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from tern4.digits import TAIL_SUP, DigitString, _largest_walk
+from tern4.digits import DigitString, _largest_walk, _state, word_value
 
 
 def series_term(n: int) -> Fraction:
@@ -45,17 +45,14 @@ def _checked_bits(bits: Sequence[int]) -> tuple[int, ...]:
 
 
 def subsum(bits: Sequence[int]) -> Fraction:
-    """Exact subsum sum(bit_n * u_n), by one Horner pass over the groups of three terms.
+    """Exact subsum sum(bit_n * u_n): the value of the digit word of the groups of three terms.
 
     The terms of group k (bits 3k-2, 3k-1, 3k; the last group may be short)
     are each 3**-k, so the subsum is sum_k d_k 3**-k with d_k the number of
     ones in group k.
     """
     bs = _checked_bits(bits)
-    acc = 0
-    for i in range(0, len(bs), 3):
-        acc = 3 * acc + sum(bs[i:i + 3])
-    return Fraction(acc, 3 ** ((len(bs) + 2) // 3))
+    return word_value([sum(bs[i:i + 3]) for i in range(0, len(bs), 3)])
 
 
 def greedy_approximate(x, n_max: int) -> tuple[int, ...]:
@@ -69,13 +66,11 @@ def greedy_approximate(x, n_max: int) -> tuple[int, ...]:
     That is min(g, c) for the walk's digit c = min(3, floor(3y)), and 3y - c
     is the next residual.
     """
-    x = Fraction(x)
-    if not 0 <= x <= TAIL_SUP:
-        raise ValueError(f"target {x} outside [0, 3/2]")
+    a, b = _state(x)
     if n_max < 1:
         raise ValueError("n_max must be positive")
     bits: list[int] = []
-    for n, (c, _) in zip(range(0, n_max, 3), _largest_walk(x.numerator, x.denominator)):
+    for n, (c, _) in zip(range(0, n_max, 3), _largest_walk(a, b)):
         g = min(3, n_max - n)
         d = min(g, c)
         bits += (1,) * d + (0,) * (g - d)

@@ -234,6 +234,16 @@ def test_series_greedy_zero_denominator_exits_1(capsys):
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("series", "--greedy", "-1/2"),            # a negative value, not an option
+    ("series", "--greedy", "-.5"),
+    ("classify", "-1/4", "1/2", "1/2", "1/4"),
+])
+def test_series_and_classify_domain_errors_exit_1_before_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
 def test_parser_built_once_and_reused_cleanly(capsys):
     assert cli.build_parser() is cli.build_parser()
     assert run_json(capsys, "repr", "1010(12)", "--depth", "4")["depth"] == 4
@@ -262,6 +272,8 @@ def test_repr_of_a_value_is_repr_of_its_largest_expansion(capsys, value, text):
     ("repr", "47"),                            # not a digit string
     ("levelset", "47"),
     ("repr", "8/5"),                           # a value outside [0, 3/2]
+    ("repr", "-1/2"),                          # a negative value, not an option
+    ("repr", "--", "-1/2"),
     ("repr", "1/0"),
     ("levelset", "8/5"),                       # levelset reads digit strings only
 ])

@@ -167,7 +167,9 @@ def test_cylinder_overlap_identity_exhaustive():
                 c = D.cylinder_overlap(base, i)
                 lo1, hi1 = D.cylinder_number_interval(Cylinder(base + (i,)))
                 lo2, hi2 = D.cylinder_number_interval(Cylinder(base + (i + 1,)))
-                assert D.cylinder_number_interval(c) == (max(lo1, lo2), min(hi1, hi2))
+                meet = (max(lo1, lo2), min(hi1, hi2))
+                assert D.cylinder_number_interval(c) == meet
+                assert D.cylinder_number_interval(Cylinder(base + (i + 1, 0))) == meet
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,22 @@ def test_level_set_continuum_constraint():
     assert ls.constraints == ((1, (1, 0), (0, 3)),)
 
 
+def test_level_set_continuum_constraints_read_the_block_cyclically():
+    # three sites; the last pairs the block's last digit with its first
+    expected = ((1, (0, 3), (1, 0)), (2, (3, 0), (2, 3)), (4, (1, 0), (0, 3)))
+    assert Fr.level_set(D.parse("(0301)"), 4).constraints == expected
+    assert Fr.level_set(D.parse("2(0301)"), 5).constraints == expected  # the preperiod plays no part
+    for length in range(1, 6):
+        for per in product(range(4), repeat=length):
+            ls = Fr.level_set(D.DigitString((), per), 1)
+            if ls.constraints is None:
+                continue
+            per = D.DigitString((), per).period  # the primitive block
+            pairs = [(per[j], per[(j + 1) % len(per)]) for j in range(len(per))]
+            assert ls.constraints == tuple((j + 1, pair, D.REWRITES[pair])
+                                           for j, pair in enumerate(pairs) if pair in D.REWRITES), per
+
+
 def test_level_set_cardinality_agrees_with_classification():
     rng = random.Random(123)
     for _ in range(50):
