@@ -115,25 +115,32 @@ def parse(text: str) -> DigitString:
     return DigitString(pre, None if per is None else tuple(int(c) for c in per))
 
 
-def word_value(word: Sequence[int], base: int = BASE) -> Fraction:
-    """Value of a finite digit word: sum of digit_k * base**-k."""
+def _numerator(word: Sequence[int], base: int) -> int:
+    """Integer sum of digit_k * base**(len(word) - k) over the word, by Horner."""
     acc = 0
     for c in word:
         acc = acc * base + c
-    return Fraction(acc, base ** len(word))
+    return acc
+
+
+def word_value(word: Sequence[int], base: int = BASE) -> Fraction:
+    """Value of a finite digit word: sum of digit_k * base**-k."""
+    return Fraction(_numerator(word, base), base ** len(word))
 
 
 def evaluate(d: DigitString, base: int = BASE) -> Fraction:
-    """Exact value of an eventually periodic digit string in the given base."""
+    """Exact value of an eventually periodic digit string in the given base.
+
+    With a preperiod of m digits (numerator a) and a period of L digits
+    (numerator b), the value is (a * (base**L - 1) + b) / ((base**L - 1) * base**m).
+    """
     if d.period is None:
         raise ValueError("finite digit word has no value; append a period such as '(0)'")
     if base < 2:
         raise ValueError("base must be at least 2")
-    acc = 0
-    for c in d.period:
-        acc = acc * base + c
-    head = word_value(d.preperiod, base)
-    return head + Fraction(acc, (base ** len(d.period) - 1) * base ** len(d.preperiod))
+    lap = base ** len(d.period) - 1
+    return Fraction(_numerator(d.preperiod, base) * lap + _numerator(d.period, base),
+                    lap * base ** len(d.preperiod))
 
 
 # ---------------------------------------------------------------------------

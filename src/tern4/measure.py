@@ -109,12 +109,13 @@ def classify(p: ProbVector) -> DistributionClass:
     """Type of the digit-series distribution.
 
     Absolutely continuous iff p1 = p2 = 1/3 (with the all-thirds zero patterns
-    uniform on [0,1] or [1/2,3/2]).  Otherwise singular: with no zero
-    probability the spectrum is all of [0,3/2]; with two zeros it is a
-    two-digit Cantor set of dimension log3(2); with one zero among {p1,p2} it
-    is the sparse-triple set of dimension log3((3+sqrt5)/2); with one zero
-    among {p0,p3} the distribution function is strictly increasing and the
-    essential support has the entropy dimension of the three active digits.
+    uniform on [0,1] or [1/2,3/2]).  Otherwise singular, by the support: the
+    digits whose probability is not 0, read under the 1e-9 tolerance when p
+    is inexact.  With all four digits the spectrum is all of [0,3/2]; with
+    three consecutive ones, (0,1,2) or (1,2,3), the distribution function is
+    strictly increasing and the essential support has the entropy dimension
+    of their probabilities, rescaled to sum to one; any other support spells
+    a Cantor set of dimension fractal.dimension_target(support).
     """
     if p.matches(p.p1, THIRD) and p.matches(p.p2, THIRD):
         uniform = None
@@ -123,18 +124,15 @@ def classify(p: ProbVector) -> DistributionClass:
         elif p.matches(p.p0, 0):
             uniform = (Fraction(1, 2), Fraction(3, 2))
         return DistributionClass(DistributionKind.ABSOLUTELY_CONTINUOUS, uniform_on=uniform)
-    zeros = [i for i, v in enumerate(p.probs) if p.matches(v, 0)]
-    if not zeros:
+    support = tuple(i for i, v in enumerate(p.probs) if not p.matches(v, 0))
+    if len(support) == 4:
         return DistributionClass(DistributionKind.SINGULAR_FULL_OVERLAP)
-    if len(zeros) == 2:
-        return DistributionClass(DistributionKind.SINGULAR_CANTOR, dimension=fractal.DIM_TWO_DIGITS)
-    if zeros[0] in (1, 2):
-        return DistributionClass(DistributionKind.SINGULAR_CANTOR, dimension=fractal.DIM_SPARSE_TRIPLE)
-    active = [v for i, v in enumerate(p.probs) if i != zeros[0]]
-    return DistributionClass(
-        DistributionKind.SINGULAR_INCREASING,
-        dimension=fractal.eggleston_dimension(active),
-    )
+    if support in ((0, 1, 2), (1, 2, 3)):
+        active = [p.probs[i] for i in support]
+        total = sum(active)
+        return DistributionClass(DistributionKind.SINGULAR_INCREASING,
+                                 dimension=fractal.eggleston_dimension([v / total for v in active]))
+    return DistributionClass(DistributionKind.SINGULAR_CANTOR, dimension=fractal.dimension_target(support))
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +183,6 @@ def _draw_blocks(values, weights, count: int, depth: int, seed: int):
         start += n
 
 
-def _draw(values, weights, count: int, depth: int, seed: int) -> np.ndarray:
-    """(count, depth) i.i.d. draws from `values` per `weights`, by inverse CDF of seeded uniforms."""
-    import numpy as np
-
-    return np.concatenate([block for _, block in _draw_blocks(values, weights, count, depth, seed)])
-
-
 def sample_digit_series(values, weights, count: int, depth: int, seed: int) -> np.ndarray:
     """`count` draws of the truncated series sum(v_k * 3**-k), digits i.i.d. per `weights`."""
     import numpy as np
@@ -205,7 +196,8 @@ def sample_digit_series(values, weights, count: int, depth: int, seed: int) -> n
 
 def sample(p: ProbVector, depth: int, seed: int) -> Fraction:
     """One exact truncated draw sum(d_k * 3**-k); truncation error <= (3/2)*3**-depth."""
-    return word_value([int(d) for d in _draw((0, 1, 2, 3), p.probs, 1, depth, seed)[0]])
+    _, block = next(_draw_blocks((0, 1, 2, 3), p.probs, 1, depth, seed))
+    return word_value([int(d) for d in block[0]])
 
 
 def sample_many(p: ProbVector, count: int, depth: int, seed: int) -> np.ndarray:
@@ -309,20 +301,12 @@ class CharfnResult:
     tail_bound: float
 
 
-def phi_factor(p: ProbVector, t: float, k: int) -> complex:
-    """Factor k of the characteristic function: sum_m p_m * z**m with z = exp(i*t*3**-k), by Horner."""
-    p0, p1, p2, p3 = (float(v) for v in p.probs)
-    w = t * 3.0 ** -k
-    z = complex(math.cos(w), math.sin(w))
-    return ((p3 * z + p2) * z + p1) * z + p0
-
-
 def charfn(p: ProbVector, t: float, K: int) -> CharfnResult:
     """Characteristic function at t as the product of the first K digit factors.
 
-    Factor k is P(z) = sum_m p_m z**m at z = exp(i*t*3**-k), evaluated as
-    phi_factor does: one cos and one sin, then Horner.  The bound on
-    |true - value| has three parts; eps is the machine epsilon.
+    Factor k is P(z) = sum_m p_m z**m at z = exp(i*t*3**-k), evaluated with
+    one cos and one sin, then Horner.  The bound on |true - value| has three
+    parts; eps is the machine epsilon.
 
     - Truncation: the omitted factors differ from 1 by at most 3|t|*3**-k
       each, so their product differs from 1 by at most expm1(1.5|t|*3**-K).
@@ -375,7 +359,7 @@ def charfn_grid(p: ProbVector, ts, K: int):
         except OverflowError:
             raise ValueError(f"|t| = {abs(t):g} is too large to bound with K = {K} factors") from None
         value = 1 + 0j
-        for s in powers:  # phi_factor(p, t, k), inlined
+        for s in powers:  # factor k, with s = 3.0**-k
             w = t * s
             z = complex(math.cos(w), math.sin(w))
             value *= ((p3 * z + p2) * z + p1) * z + p0
@@ -437,6 +421,4 @@ def eta_params(q0) -> ProbVector:
     if not 0 < q < 1:
         raise ValueError("q0 must lie strictly between 0 and 1")
     r = 1 - q
-    pv = ProbVector(q ** 3, 3 * q * q * r, 3 * q * r * r, r ** 3, exact=exact)
-    assert classify(pv).is_singular
-    return pv
+    return ProbVector(q ** 3, 3 * q * q * r, 3 * q * r * r, r ** 3, exact=exact)

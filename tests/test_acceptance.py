@@ -200,7 +200,7 @@ def test_criterion_7_charfn_functional_equation():
             for t in ts:
                 ft = measure.charfn(p, t, 40)
                 ft3 = measure.charfn(p, t / 3, 40)
-                lhs = abs(ft.value - measure.phi_factor(p, t, 1) * ft3.value)
+                lhs = abs(ft.value - measure.charfn(p, t, 1).value * ft3.value)
                 assert lhs <= ft.tail_bound + ft3.tail_bound, (t, lhs)
 
     _criterion(7, check, limit=5)

@@ -70,6 +70,17 @@ def test_classify_singular(capsys):
     assert out["dimension"] == pytest.approx(math.log((3 + math.sqrt(5)) / 2, 3), abs=1e-12)
 
 
+@pytest.mark.parametrize("probs, kind, dimension", [
+    # a decimal probability within 1e-9 of 0 leaves the support; the rest are rescaled
+    (("0.5", "0.25", "0.2499999999", "0.0000000001"), "singular_increasing", 0.94639463032564),
+    (("0.0000000001", "0.9999999999", "0", "0"), "singular_cantor", 0.0),
+    (("0.9999999999", "0.0000000001", "0", "0"), "singular_cantor", 0.0),
+])
+def test_classify_reads_the_support_under_the_tolerance(capsys, probs, kind, dimension):
+    out = run_json(capsys, "classify", *probs)
+    assert out == {"schema": 1, "class": kind, "dimension": dimension}
+
+
 def test_classify_bad_probability_exits_1(capsys):
     code, _, err = run(capsys, "classify", "1/2", "1/2", "1/2", "1/2")
     assert code == 1 and "error" in err

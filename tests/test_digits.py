@@ -79,6 +79,19 @@ def test_evaluate_other_bases():
     assert D.evaluate(D.parse("(3)"), base=4) == F(1)
 
 
+def test_evaluate_against_geometric_series_exhaustive():
+    # oracle in Fractions alone: the preperiod's digit sum, plus the period's
+    # digit sum times b**-m / (1 - b**-L), for a preperiod of m and a period of L digits
+    words = [w for n in range(4) for w in product(range(4), repeat=n)]
+    for base in (2, 3, 4, 10):
+        for pre in words:
+            head = sum(F(c, base ** k) for k, c in enumerate(pre, 1))
+            for per in words[1:]:
+                block = sum(F(c, base ** k) for k, c in enumerate(per, 1))
+                expected = head + block * F(1, base ** len(pre)) / (1 - F(1, base ** len(per)))
+                assert D.evaluate(DigitString(pre, per), base) == expected, (base, pre, per)
+
+
 def test_evaluate_requires_period():
     with pytest.raises(ValueError):
         D.evaluate(D.parse("12"))

@@ -1,5 +1,6 @@
 """Tests for the digit-law distribution: classification, sampling, CDF, charfn."""
 
+import itertools
 import math
 import os
 import random
@@ -87,6 +88,36 @@ def test_classify_inexact_tolerance():
     third = 1 / 3
     c = M.classify(ProbVector(1 / 6, third, third, 1 - 1 / 6 - 2 * third))
     assert c.kind is DistributionKind.ABSOLUTELY_CONTINUOUS
+
+
+def _classify_by_zero_pattern(p):
+    """(kind, dimension) from the law's zero pattern, one branch per pattern: the reference for classify."""
+    if p.matches(p.p1, M.THIRD) and p.matches(p.p2, M.THIRD):
+        return DistributionKind.ABSOLUTELY_CONTINUOUS, None
+    zeros = [i for i, v in enumerate(p.probs) if p.matches(v, 0)]
+    if not zeros:
+        return DistributionKind.SINGULAR_FULL_OVERLAP, None
+    if len(zeros) == 2:
+        return DistributionKind.SINGULAR_CANTOR, fractal.DIM_TWO_DIGITS
+    if zeros[0] in (1, 2):
+        return DistributionKind.SINGULAR_CANTOR, fractal.DIM_SPARSE_TRIPLE
+    active = [v for i, v in enumerate(p.probs) if i != zeros[0]]
+    return DistributionKind.SINGULAR_INCREASING, fractal.eggleston_dimension(active)
+
+
+def test_classify_by_support_matches_the_zero_pattern_branches():
+    # every exact law p_i = a_i / q with q <= 12; q = 10 is _simplex_grid_tenths()
+    laws = []
+    for q in range(1, 13):
+        for a in itertools.product(range(q), repeat=3):
+            if q - sum(a) in range(q):  # the last probability is at least 0 and below 1
+                laws.append(tuple(F(x, q) for x in (*a, q - sum(a))))
+    for vals in laws:
+        p = ProbVector(*vals)
+        c = M.classify(p)
+        kind, dim = _classify_by_zero_pattern(p)
+        assert c.kind is kind and c.dimension == dim, (vals, c, dim)
+        assert dim is None or c.dimension.hex() == dim.hex(), vals
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +237,10 @@ def test_charfn_bound_holds_for_every_zero_pattern():
             err = abs(r.value - true)
             assert err <= r.tail_bound, (p, t, err, r.tail_bound)
             if 0 < abs(t) < 100:  # f(0) = 1 takes no factors; one factor bounds no large t
-                assert M.charfn(p, t, 1).value == M.phi_factor(p, t, 1)
+                p0, p1, p2, p3 = (float(v) for v in p.probs)
+                w = t * 3.0 ** -1
+                z = complex(math.cos(w), math.sin(w))
+                assert M.charfn(p, t, 1).value == ((p3 * z + p2) * z + p1) * z + p0
 
 
 def test_charfn_functional_equation():
@@ -216,7 +250,7 @@ def test_charfn_functional_equation():
         for t in rng.uniform(0.0, 100.0, 20):
             ft = M.charfn(p, t, 40)
             ft3 = M.charfn(p, t / 3, 40)
-            phi1 = M.phi_factor(p, t, 1)
+            phi1 = M.charfn(p, t, 1).value
             assert abs(ft.value - phi1 * ft3.value) <= ft.tail_bound + ft3.tail_bound
 
 
@@ -317,7 +351,7 @@ def test_classification_consistency_with_charfn():
         p = ProbVector(*vals)
         is_ac = M.classify(p).kind is DistributionKind.ABSOLUTELY_CONTINUOUS
         bound = M.limsup_lower_bound(p, 3, 40)
-        phi1 = abs(M.phi_factor(p, 2 * math.pi, 1))
+        phi1 = abs(M.charfn(p, 2 * math.pi, 1).value)
         assert is_ac == (bound == 0.0 and phi1 < 1e-12), (vals, bound, phi1)
 
 
@@ -349,6 +383,11 @@ def _draw_reference(values, weights, count, depth, seed):
     return np.asarray(values, float)[np.searchsorted(cum, u, side="right")]
 
 
+def _draw(values, weights, count, depth, seed):
+    """The (count, depth) array of draws: the blocks of _draw_blocks, concatenated."""
+    return np.concatenate([block for _, block in M._draw_blocks(values, weights, count, depth, seed)])
+
+
 def test_draw_matches_binary_search_bit_for_bit():
     # every zero pattern of four weights repeats entries of the cumulative sums
     rng = random.Random(3)
@@ -361,16 +400,16 @@ def test_draw_matches_binary_search_bit_for_bit():
         cases.append([x / sum(w) for x in w] if any(w) else [1.0, 0.0, 0.0, 0.0])
     for i, w in enumerate(cases):
         for count, depth in ((300, 30), (1, 1), (1, 40), (50, 1)):
-            got = M._draw((0, 1, 2, 3), w, count, depth, seed=i)
+            got = _draw((0, 1, 2, 3), w, count, depth, seed=i)
             assert np.array_equal(got, _draw_reference((0, 1, 2, 3), w, count, depth, seed=i)), (w, count, depth)
     # a uniform equal to a cumulative weight counts that weight, as side="right" does
     u0 = np.random.default_rng(5).random()
     for w in ((u0, 1 - u0), (u0, 0, 0, 1 - u0)):
-        got = M._draw(range(len(w)), w, 4, 3, seed=5)
+        got = _draw(range(len(w)), w, 4, 3, seed=5)
         assert got[0, 0] == len(w) - 1
         assert np.array_equal(got, _draw_reference(range(len(w)), w, 4, 3, seed=5))
     # more values than an int8 index holds
-    got = M._draw(range(300), [1 / 300] * 300, 50, 20, seed=6)
+    got = _draw(range(300), [1 / 300] * 300, 50, 20, seed=6)
     assert np.array_equal(got, _draw_reference(range(300), [1 / 300] * 300, 50, 20, seed=6))
     powers = 3.0 ** -np.arange(1, 21)
     for values, w in (((2.5,), (1,)), ((0.5, 1.25, 2.0, 2.75), (0.1, 0.0, 0.6, 0.3))):
@@ -392,7 +431,7 @@ def test_draw_blocks_match_one_array_at_block_boundaries(monkeypatch, block):
             sizes = [(start, len(b)) for start, b in M._draw_blocks((0, 1, 2, 3), w, count, depth, seed)]
             assert [s for s, _ in sizes] == [0, *np.cumsum([n for _, n in sizes])[:-1]]
             assert all(n == rows for _, n in sizes[:-1]) and (count == 1 or sizes[-1][1] > 1)
-            assert np.array_equal(M._draw((0, 1, 2, 3), w, count, depth, seed), ref), (depth, count)
+            assert np.array_equal(_draw((0, 1, 2, 3), w, count, depth, seed), ref), (depth, count)
             got = M.sample_digit_series((0, 1, 2, 3), w, count, depth, seed)
             assert np.array_equal(got, ref @ powers), (depth, count)
 
