@@ -20,12 +20,10 @@ SCHEMA = 1
 
 
 def _dec(v) -> float:
-    """Decimal form rounded to 15 significant digits."""
-    return float(f"{float(v):.15g}")
-
-
-def _exact(v: Fraction) -> str:
-    return str(Fraction(v))
+    """Decimal form rounded to 15 significant digits; a Fraction by one integer division, as float()."""
+    if isinstance(v, Fraction):
+        v = v.numerator / v.denominator
+    return float(f"{v:.15g}")
 
 
 def _emit_json(payload: dict) -> None:
@@ -58,7 +56,7 @@ def cmd_repr(args) -> int:
     out = {
         "schema": SCHEMA,
         "input": str(d),
-        "value": _exact(value),
+        "value": str(value),
         "value_decimal": _dec(value),
         "cardinality": card.kind.value,
     }
@@ -78,10 +76,10 @@ def cmd_classify(args) -> int:
     out = {"schema": SCHEMA, "class": c.kind.value}
     if c.kind is measure.DistributionKind.ABSOLUTELY_CONTINUOUS:
         x = measure.decompose_uniform_plus_cantor(p)
-        out["x"] = _exact(x)
+        out["x"] = str(x)
         out["x_decimal"] = _dec(x)
         if c.uniform_on is not None:
-            out["uniform_on"] = [_exact(c.uniform_on[0]), _exact(c.uniform_on[1])]
+            out["uniform_on"] = [str(c.uniform_on[0]), str(c.uniform_on[1])]
     if c.dimension is not None:
         out["dimension"] = _dec(c.dimension)
     _emit_json(out)
@@ -107,7 +105,7 @@ def cmd_charfn(args) -> int:
     p = _probvector(args)
     if not (0 < args.step < math.inf and args.tmax >= 0):
         raise ValueError("need finite step > 0 and tmax >= 0")
-    tmax = args.tmax + 1e-12
+    tmax = args.tmax + 1e-12 * max(1.0, args.tmax)  # room for rounding: 14911 * 1.1 = 16402.100000000002
     measure.charfn(p, tmax, args.K)  # rejects bad K and a tmax it cannot bound before any output
     # j * step, not a running sum, so rounding does not pile up
     ts, grid = itertools.tee(itertools.takewhile(lambda t: t <= tmax,
@@ -167,7 +165,7 @@ def cmd_levelset(args) -> int:
         out["count"] = ls.cardinality.count
     if ls.members is not None:
         out["depth"] = depth
-        out["members"] = [{"exact": _exact(v), "decimal": _dec(v)} for v in ls.members]
+        out["members"] = [{"exact": str(v), "decimal": _dec(v)} for v in ls.members]
     if ls.constraints is not None:
         out["constraints"] = [
             {"position": pos, "pair": "%d%d" % pair, "alternative": "%d%d" % alt}
@@ -182,12 +180,12 @@ def cmd_decompose(args) -> int:
     out = {"schema": SCHEMA, "uniform_plus_cantor": None, "cantor_pair": None}
     try:
         x = measure.decompose_uniform_plus_cantor(p)
-        out["uniform_plus_cantor"] = {"x": _exact(x), "x_decimal": _dec(x)}
+        out["uniform_plus_cantor"] = {"x": str(x), "x_decimal": _dec(x)}
     except ValueError:
         pass
     try:
         u, v = measure.decompose_cantor_pair(p)
-        out["cantor_pair"] = {"u": _exact(u), "v": _exact(v),
+        out["cantor_pair"] = {"u": str(u), "v": str(v),
                               "u_decimal": _dec(u), "v_decimal": _dec(v)}
     except ValueError:
         pass
@@ -208,7 +206,7 @@ def cmd_series(args) -> int:
         bits = bits + (0,) * (3 - len(bits) % 3)  # padding leaves the subsum unchanged
     word = series.eta_subsum_digits(bits)
     # str() of a value past Python's int-to-string limit raises: convert before any output
-    row = ["".join(map(str, bits)), "".join(map(str, word)), _exact(series.subsum(bits))]
+    row = ["".join(map(str, bits)), "".join(map(str, word)), str(digits.word_value(word))]
     w = _csv_writer()
     w.writerow(["bits", "digits", "value"])
     w.writerow(row)
@@ -233,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "digit-law distributions, fractal dimensions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser, read by `main`
 
     def add_probs(sp):
         sp.add_argument("p", nargs=4, metavar="P",
@@ -294,7 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.commands.get(argv[0]) if argv else None  # None for -h, a typo or no argument
+    args, extra = parser.parse_known_args(argv) if sub is None else sub.parse_known_args(argv[1:])
+    if extra:  # as parse_args reports them, under the top-level usage line
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at interpreter exit

@@ -100,12 +100,12 @@ class DigitString:
         return body
 
 
-_GRAMMAR = re.compile(r"^(?P<pre>[0-3]*)(?:\((?P<per>[0-3]+)\))?$")
+_GRAMMAR = re.compile(r"(?P<pre>[0-3]*)(?:\((?P<per>[0-3]+)\))?")
 
 
 def parse(text: str) -> DigitString:
     """Parse ``digits`` or ``digits(period)`` into a canonical DigitString."""
-    m = _GRAMMAR.match(text)
+    m = _GRAMMAR.fullmatch(text)
     if m is None:
         raise ParseError(f"not a digit string: {text!r}")
     pre = tuple(int(c) for c in m.group("pre"))
@@ -238,8 +238,9 @@ def cylinder_overlap(base: Sequence[int], i: int) -> Cylinder:
 # expansions of x are the infinite paths from n; every state has an out-edge.
 
 class _Graph(dict):
-    """The residual graph over the fixed q: state n -> its edges (c, 3n - c*q) that keep
-    the residual in [0, 3/2].  A walk makes each state's edges once, on first use."""
+    """The residual graph over the fixed q: state n -> its edges (c, 3n - c*q) that keep the
+    residual in [0, 3/2], for the digits c in 0..3 from ceil((6n - 3q)/2q) to floor(3n/q).
+    A walk makes each state's edges once, on first use."""
 
     def __init__(self, q: int):
         super().__init__()
@@ -247,8 +248,8 @@ class _Graph(dict):
 
     def __missing__(self, n: int) -> list[tuple[int, int]]:
         q = self.q
-        edges = self[n] = [(c, 3 * n - c * q) for c in range(MAX_DIGIT + 1)
-                           if 0 <= 2 * (3 * n - c * q) <= 3 * q]
+        lo, hi = max(0, -((3 * q - 6 * n) // (2 * q))), min(MAX_DIGIT, 3 * n // q)
+        edges = self[n] = [(c, 3 * n - c * q) for c in range(lo, hi + 1)]
         return edges
 
 
@@ -288,8 +289,8 @@ def _levels(graph, start):
 
 def _state(x) -> tuple[int, int]:
     """Numerator and denominator of x, checked to lie in [0, 3/2]."""
-    x = Fraction(x)
-    if not 0 <= x <= TAIL_SUP:
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    if not 0 <= 2 * x.numerator <= 3 * x.denominator:
         raise ValueError(f"value {x} outside [0, 3/2]")
     return x.numerator, x.denominator
 
@@ -405,6 +406,10 @@ def _census(d: DigitString) -> tuple[ReprCardinality, Callable[[int], list[Digit
                 low[u] = min(low[u], low[v])
             if low[v] != index[v]:
                 continue
+            if stack[-1] == v and all(w != v for _, w in graph[v]):  # one state, no loop
+                stack.pop()  # its successors are all finished
+                paths[v] = sum(paths[w] for _, w in graph[v])
+                continue
             i = len(stack) - 1
             while stack[i] != v:
                 i -= 1
@@ -415,10 +420,7 @@ def _census(d: DigitString) -> tuple[ReprCardinality, Callable[[int], list[Digit
             if sum(map(len, inner.values())) > len(comp):
                 card = ReprCardinality(Cardinality.CONTINUUM)
                 break
-            if not inner[v]:
-                paths[v] = sum(paths[w] for _, w in out[v])
-                continue
-            # a simple cycle: read its block from v, then rotate it for each state
+            # a simple cycle, or one state with a loop: read its block from v, then rotate it per state
             exits = exits or any(len(e) > 1 for e in out.values())
             ring, word, u = [], [], v
             for _ in comp:

@@ -249,10 +249,11 @@ def cdf_grid(p: ProbVector, xs, tol: float):
                 s * D + r0 * below[t] + r1 * below[t + 3])
 
     def point(x) -> tuple[Fraction, Fraction]:
-        try:
-            x = Fraction(x)
-        except (OverflowError, ValueError):
-            raise ValueError(f"x must be a finite number, got {x!r}") from None
+        if not isinstance(x, Fraction):
+            try:
+                x = Fraction(x)
+            except (OverflowError, ValueError):
+                raise ValueError(f"x must be a finite number, got {x!r}") from None
         q = x.denominator
         if x.numerator <= 0:
             return Fraction(0), Fraction(0)
@@ -268,8 +269,9 @@ def cdf_grid(p: ProbVector, xs, tol: float):
                 lo = s * f1_den + r1 * f1_num
                 return Fraction(lo, den), Fraction(lo + width, den)
             seen[n] = len(seen)
-            t, n = divmod(3 * n, q)
-            r0, r1, s = step(r0, r1, s, t)
+            t, n = divmod(3 * n, q)  # then `step`, written out in this per-digit loop
+            r0, r1, s = (r0 * w[t + 1] + r1 * w[t + 4], r0 * w[t] + r1 * w[t + 3],
+                         s * D + r0 * below[t] + r1 * below[t + 3])
             den *= D
         # n came back after the remainders m met since it: V(n/q) = (P V(n/q) + beta) / E
         k = seen[n]

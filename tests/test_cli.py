@@ -1,8 +1,11 @@
 """CLI contract tests: JSON payloads, CSV tables, exit codes."""
 
+import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -107,9 +110,11 @@ def test_charfn_csv(capsys):
     assert float(rows[1][1]) == 1.0  # f(0) = 1
 
 
-@pytest.mark.parametrize("tmax,step,rows", [("1000", "0.1", 10001), ("33.3", "0.01", 3331), ("50", "0.5", 101)])
+@pytest.mark.parametrize("tmax,step,rows", [("1000", "0.1", 10001), ("33.3", "0.01", 3331), ("50", "0.5", 101),
+                                             ("16402.1", "1.1", 14912)])
 def test_charfn_grid_points_do_not_drift(capsys, tmax, step, rows):
-    # 10000 steps of 0.1 added one by one end at 999.900000000159 and miss t = 1000
+    # 10000 steps of 0.1 added one by one end at 999.900000000159 and miss t = 1000;
+    # 14911 * 1.1 = 16402.100000000002 lies past 16402.1 by more than a fixed slack of 1e-12
     code, out, _ = run(capsys, "charfn", "1/4", "1/4", "1/4", "1/4", "--tmax", tmax, "--step", step, "--K", "10")
     ts = [float(r[0]) for r in csv_rows(out)[1:]]
     assert code == 0 and ts == [round(j * float(step), 10) for j in range(rows)]
@@ -287,6 +292,7 @@ def test_repr_of_a_value_is_repr_of_its_largest_expansion(capsys, value, text):
     ("repr", "--", "-1/2"),
     ("repr", "1/0"),
     ("levelset", "8/5"),                       # levelset reads digit strings only
+    ("repr", "1010(12)\n"),                    # a trailing newline is not part of a digit string
 ])
 def test_repr_and_levelset_domain_errors_exit_1_before_output(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -325,3 +331,93 @@ def test_series_greedy_long_selector_finishes_in_a_second(capsys):
     assert time.perf_counter() - start < 1.0
     bits, word, value = csv_rows(out)[1]
     assert code == 0 and bits == "1" + "0" * 100_001 and value == "1/3"  # padded to 100002 bits
+
+
+def _outcome(capsys, main, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _top_level_main(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["--help", "repr"], ["nosuch"], ["nosuch", "-h"], ["-x", "repr"],
+    ["repr"], ["repr", "-h"], ["repr", "(0)", "-h", "--bad"], ["cdf", "1/4"], ["series"],
+    ["charfn", "1/4", "1/4", "1/4", "1/4", "--K"], ["charfn", "1/4", "1/4", "1/4", "1/4", "--tmax", "2", "--K"],
+    ["repr", "1010(12)", "--depth", "x"], ["repr", "1010(12)", "extra"], ["repr", "--de", "5", "1010(12)"],
+    ["cdf", "1/4", "1/4", "1/4", "1/4", "--bogus", "x"], ["series", "--check", "5", "--greedy", "1/2"],
+    ["repr", "--", "(0)"], ["repr", "1010(12)"], ["series", "--greedy", "1/2", "--nmax", "6"],
+])
+def test_dispatch_matches_the_top_level_parser(capsys, argv):
+    # main hands a known subcommand's arguments to its own parser; exit code, stdout and
+    # stderr are those of the top-level parser reading the whole argv
+    assert _outcome(capsys, cli.main, argv) == _outcome(capsys, _top_level_main, argv)
+
+
+def test_no_arguments_in_a_process_exit_2_with_the_usage():
+    env = dict(os.environ, PYTHONPATH=str(Path(tern4.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "tern4.cli"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: tern4 ") and "the following arguments are required" in proc.stderr
+
+
+#: sha1 of the stdout of each command line: README's command lines, then repr and levelset on
+#: strings of every cardinality, series --greedy, and cdf of the four benchmark laws
+PINNED_STDOUT = [
+    (("repr", "1010(12)"), "9b3a569bd427d5b73a773ff1444f3740f88ab439"),
+    (("repr", "245/648"), "9b3a569bd427d5b73a773ff1444f3740f88ab439"),
+    (("classify", "1/6", "1/3", "1/3", "1/6"), "d587e56c31099f7cebbd8095ea53375f939647bd"),
+    (("cdf", "1/3", "1/3", "1/3", "0", "--grid", "51", "--tol", "1e-4"), "4c06e5154967fd1a8870b2b974132903e1000603"),
+    (("charfn", "1/4", "1/4", "1/4", "1/4", "--tmax", "50", "--step", "0.5", "--K", "40"),
+     "7c437dce8f0d42ebcb57ea520cd05b5de0b49273"),
+    (("lbound", "1/4", "1/4", "1/4", "1/4", "--N", "3", "--K", "40"), "2ca99202c36c4df49b5ad0995a7ddb332126dde9"),
+    (("dimension", "--digits", "013", "--nmax", "13"), "9afacaa624d80f19236fb441de8a67c5ffee0840"),
+    (("levelset", "(10)"), "05ba5fee4f78e15e428f98ed0a492eb79093073b"),
+    (("decompose", "1/4", "1/4", "1/4", "1/4"), "844d3e18c9028e874878a3e1f47971a1654cbbe2"),
+    (("series", "--check", "100"), "af09195f03024e1ad0e7aa6b5b31ebf62fd75df2"),
+    (("series", "--greedy", "1/2", "--nmax", "12"), "66d0ade058656ac39a51eafd4bd9a234c4aac54b"),
+    (("repr", "(0)"), "e1acc184f0b2acb5bee2ace2180363791c259efe"),            # unique
+    (("repr", "31(12)"), "a90c795dde08b57e6e09e892c953a0e8c6e7ad6f"),         # unique
+    (("repr", "1(0)"), "6902a7203ce2db962598b7c90f20d837ca8d579b"),           # countable
+    (("repr", "2(3)"), "ffbdb4d92b727f0dae51e91813c01631df8c45ec"),           # countable
+    (("repr", "(10)"), "4aa4a6b2ff1a9c58419dff311200f8e8531acac2"),           # continuum
+    (("repr", "0(123)"), "5609a6b4ba513a7afc5244d3ae2f237e56a1bfa7"),
+    (("levelset", "(0)"), "0e1f8983c17076849e6f2ebdb43b9eedf84f4569"),
+    (("levelset", "31(12)"), "e10cd6f9c7c81e3ef5af4f6f201e0cd57f0f404f"),
+    (("levelset", "1010(12)"), "19459aca79f381feff27642698ba1947b83d8ac9"),   # finite
+    (("levelset", "1(0)"), "c85fb6ddd7b19a4b88f2e51aa8ce45fe9ecc51fb"),
+    (("levelset", "2(3)"), "02d2cc23e0b8c3233a95e753396bc5a7525e473a"),
+    (("levelset", "0(123)"), "3af4e0cfbd711961692d68e6bdb7b284c2954b21"),
+    (("series", "--greedy", "0"), "534718663a0d58603174c04525fe366cd87932a6"),
+    (("series", "--greedy", "1/3"), "efc0d6f121d3c335a8feb79f18afd52ba4ecd97e"),
+    (("series", "--greedy", "1/2"), "731a800da0bf6ac447a586cff0886b0124750e8c"),
+    (("series", "--greedy", "245/648"), "e5cf99d8cd6094e9eb91acf13543b625bcd8650f"),
+    (("series", "--greedy", "5/7"), "b89b00f129bf31965f3bacd1e2537b60063b53c0"),
+    (("series", "--greedy", "3/2"), "87214c14c0478b36a1db9191c2592dc287fef9c5"),
+    (("series", "--greedy", "5/7", "--nmax", "31"), "b08abad49d1d46cdf250448e9fcab3c0ac0d0cc6"),  # padded
+    (("cdf", "1/4", "1/4", "1/4", "1/4"), "ee26ef8ea728e559aa9679a64091eebd463ebfbd"),
+    (("cdf", "1/6", "1/3", "1/3", "1/6"), "2a8444c62c8916cc5fc52a346bb1bc9109f2bcf9"),
+    (("cdf", "1/2", "1/4", "1/4", "0"), "1c58d7f3af632994bd16670e5052ea89dd19a943"),
+    (("cdf", "1/2", "0", "0", "1/2"), "d9539441c26b275355e080c59f8f9f58e55073ca"),
+]
+
+
+@pytest.mark.parametrize("argv, sha1", PINNED_STDOUT)
+def test_stdout_is_pinned(capsys, argv, sha1):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+def test_every_readme_command_line_is_pinned():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text[text.index("## Command line"):text.index("## Library")]
+    lines = [tuple(shlex.split(re.sub(r" *#.*", "", ln))[1:]) for ln in block.splitlines() if ln.startswith("tern4 ")]
+    assert lines and set(lines) <= {argv for argv, _ in PINNED_STDOUT}

@@ -32,7 +32,8 @@ def test_parse_canonicalizes():
     assert D.parse("33(3)") == D.parse("(3)")
 
 
-@pytest.mark.parametrize("bad", ["", "4", "()", "1(", "(12", "1 2", "12()", "(4)", "-1"])
+@pytest.mark.parametrize("bad", ["", "4", "()", "1(", "(12", "1 2", "12()", "(4)", "-1",
+                                 "1010(12)\n"])  # `$` alone would let a final newline through
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         D.parse(bad)
@@ -222,6 +223,15 @@ def test_admissible_prefixes_rejects_out_of_range():
         D.admissible_prefixes(F(8, 5), 2)
     with pytest.raises(ValueError):
         D.admissible_prefixes(F(-1, 5), 2)
+
+
+def test_graph_edges_match_the_four_digit_filter_exhaustive():
+    # the digit range of each state against testing every digit c for 0 <= 3n - cq <= 3q/2
+    for q in range(1, 61):
+        graph = D._Graph(q)
+        for n in range(3 * q // 2 + 1):
+            expected = [(c, 3 * n - c * q) for c in range(4) if 0 <= 2 * (3 * n - c * q) <= 3 * q]
+            assert graph[n] == expected and expected, (n, q)
 
 
 def test_largest_expansion_is_the_last_admissible_prefix_exhaustive():
