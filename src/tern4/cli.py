@@ -26,20 +26,11 @@ def _dec(v) -> float:
     return float(f"{v:.15g}")
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
-
-
-def _csv_writer():
-    return csv.writer(sys.stdout)
-
-
-def _probvector(args) -> measure.ProbVector:
-    return measure.ProbVector.parse(args.p)
-
-
 def _value(text: str) -> Fraction:
-    """A number given as 'a/b' or a decimal; Fraction's own ValueError covers other text."""
+    """A number given as 'a/b' or a decimal, with no surrounding whitespace (which Fraction would
+    strip); Fraction's own ValueError covers other text."""
+    if text != text.strip():
+        raise ValueError(f"bad value {text!r}: surrounding whitespace")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -66,12 +57,12 @@ def cmd_repr(args) -> int:
         depth = args.depth if args.depth is not None else len(d.preperiod) + 6
         out["depth"] = depth
         out["representations"] = [str(r) for r in expand(depth)]
-    _emit_json(out)
+    print(json.dumps(out))
     return 0
 
 
 def cmd_classify(args) -> int:
-    p = _probvector(args)
+    p = measure.ProbVector.parse(args.p)
     c = measure.classify(p)
     out = {"schema": SCHEMA, "class": c.kind.value}
     if c.kind is measure.DistributionKind.ABSOLUTELY_CONTINUOUS:
@@ -82,18 +73,18 @@ def cmd_classify(args) -> int:
             out["uniform_on"] = [str(c.uniform_on[0]), str(c.uniform_on[1])]
     if c.dimension is not None:
         out["dimension"] = _dec(c.dimension)
-    _emit_json(out)
+    print(json.dumps(out))
     return 0
 
 
 def cmd_cdf(args) -> int:
-    p = _probvector(args)
+    p = measure.ProbVector.parse(args.p)
     if args.grid < 2:
         raise ValueError("grid needs at least 2 points")
     span = 2 * (args.grid - 1)
     # cdf_grid rejects a bad tolerance when called, before any output
     grid = measure.cdf_grid(p, (Fraction(3 * j, span) for j in range(args.grid)), args.tol)
-    w = _csv_writer()
+    w = csv.writer(sys.stdout)
     w.writerow(["x", "lo", "hi"])
     # 3 * j / span rounds once, to the float of the exact x
     for j, (lo, hi) in enumerate(grid):
@@ -102,7 +93,7 @@ def cmd_cdf(args) -> int:
 
 
 def cmd_charfn(args) -> int:
-    p = _probvector(args)
+    p = measure.ProbVector.parse(args.p)
     if not (0 < args.step < math.inf and args.tmax >= 0):
         raise ValueError("need finite step > 0 and tmax >= 0")
     tmax = args.tmax + 1e-12 * max(1.0, args.tmax)  # room for rounding: 14911 * 1.1 = 16402.100000000002
@@ -110,7 +101,7 @@ def cmd_charfn(args) -> int:
     # j * step, not a running sum, so rounding does not pile up
     ts, grid = itertools.tee(itertools.takewhile(lambda t: t <= tmax,
                                                  (j * args.step for j in itertools.count())))
-    w = _csv_writer()
+    w = csv.writer(sys.stdout)
     w.writerow(["t", "re", "im", "abs", "tail_bound"])
     for t, r in zip(ts, measure.charfn_grid(p, grid, args.K)):
         w.writerow([_dec(t), _dec(r.value.real), _dec(r.value.imag),
@@ -119,9 +110,9 @@ def cmd_charfn(args) -> int:
 
 
 def cmd_lbound(args) -> int:
-    p = _probvector(args)
+    p = measure.ProbVector.parse(args.p)
     bound = measure.limsup_lower_bound(p, args.N, args.K)
-    _emit_json({"schema": SCHEMA, "lower_bound": _dec(bound), "N": args.N, "K": args.K})
+    print(json.dumps({"schema": SCHEMA, "lower_bound": _dec(bound), "N": args.N, "K": args.K}))
     return 0
 
 
@@ -137,18 +128,18 @@ def cmd_dimension(args) -> int:
         raise ValueError(f"a count has more than {limit} digits, past Python's int-to-string limit "
                          "(sys.set_int_max_str_digits)")
     rows = [[n, str(count), _dec(math.log(count) / math.log(3))] for n, count in est.counts]
-    w = _csv_writer()
+    w = csv.writer(sys.stdout)
     w.writerow(["n", "count", "log3_count"])
     w.writerows(rows)
     target = fractal.dimension_target(digit_set)
-    _emit_json({
+    print(json.dumps({
         "schema": SCHEMA,
         "digit_set": "".join(str(c) for c in sorted(set(digit_set))),
         "slope": _dec(est.slope),
         "r2": _dec(est.r2),
         "target": _dec(target),
         "abs_error": _dec(abs(est.slope - target)),
-    })
+    }))
     return 0
 
 
@@ -171,12 +162,12 @@ def cmd_levelset(args) -> int:
             {"position": pos, "pair": "%d%d" % pair, "alternative": "%d%d" % alt}
             for pos, pair, alt in ls.constraints
         ]
-    _emit_json(out)
+    print(json.dumps(out))
     return 0
 
 
 def cmd_decompose(args) -> int:
-    p = _probvector(args)
+    p = measure.ProbVector.parse(args.p)
     out = {"schema": SCHEMA, "uniform_plus_cantor": None, "cantor_pair": None}
     try:
         x = measure.decompose_uniform_plus_cantor(p)
@@ -189,17 +180,17 @@ def cmd_decompose(args) -> int:
                               "u_decimal": _dec(u), "v_decimal": _dec(v)}
     except ValueError:
         pass
-    _emit_json(out)
+    print(json.dumps(out))
     return 0
 
 
 def cmd_series(args) -> int:
     if args.check is not None:
-        _emit_json({
+        print(json.dumps({
             "schema": SCHEMA,
             "kakeya_holds": series.kakeya_check(args.check),
             "n_checked": args.check,
-        })
+        }))
         return 0
     bits = series.greedy_approximate(_value(args.greedy), args.nmax)
     if len(bits) % 3:
@@ -207,7 +198,7 @@ def cmd_series(args) -> int:
     word = series.eta_subsum_digits(bits)
     # str() of a value past Python's int-to-string limit raises: convert before any output
     row = ["".join(map(str, bits)), "".join(map(str, word)), str(digits.word_value(word))]
-    w = _csv_writer()
+    w = csv.writer(sys.stdout)
     w.writerow(["bits", "digits", "value"])
     w.writerow(row)
     return 0

@@ -82,10 +82,6 @@ class DigitString:
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 
-    @property
-    def is_periodic(self) -> bool:
-        return self.period is not None
-
     def expand(self, n: int) -> tuple[int, ...]:
         """First n digits of the digit sequence (fewer if the word is finite)."""
         if self.period is None or n <= len(self.preperiod):
@@ -253,24 +249,12 @@ class _Graph(dict):
         return edges
 
 
-def _paths(graph: _Graph, n: int, m: int):
+def _paths(graph: _Graph, n: int, m: int) -> list[tuple[tuple[int, ...], int]]:
     """Each length-m path from state n as (digit word, end state), in lexicographic order."""
-    if m < 1:
-        yield (), n
-        return
-    word: list[int] = []
-    stack = [iter(graph[n])]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if word:
-                word.pop()
-        elif len(word) + 1 == m:
-            yield (*word, step[0]), step[1]
-        else:
-            word.append(step[0])
-            stack.append(iter(graph[step[1]]))
+    level = [((), n)]
+    for _ in range(m):
+        level = [(w + (c,), t) for w, s in level for c, t in graph[s]]
+    return level
 
 
 def _levels(graph, start):
@@ -287,9 +271,19 @@ def _levels(graph, start):
         level = nxt
 
 
+def _fraction(x) -> Fraction:
+    """x as a Fraction; ValueError for an infinity or nan, as for anything else Fraction refuses."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):
+        raise ValueError(f"x must be a finite number, got {x!r}") from None
+
+
 def _state(x) -> tuple[int, int]:
     """Numerator and denominator of x, checked to lie in [0, 3/2]."""
-    x = x if isinstance(x, Fraction) else Fraction(x)
+    x = _fraction(x)
     if not 0 <= 2 * x.numerator <= 3 * x.denominator:
         raise ValueError(f"value {x} outside [0, 3/2]")
     return x.numerator, x.denominator

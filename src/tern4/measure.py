@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 
 from tern4 import fractal
-from tern4.digits import word_value
+from tern4.digits import _fraction, word_value
 
 THIRD = Fraction(1, 3)
 _SUM_TOL = 1e-12     # accepted drift of sum(p) for inexact inputs
@@ -141,11 +141,11 @@ def classify(p: ProbVector) -> DistributionClass:
 _BLOCK = 8192  # uniforms per block of draws: the sampler's buffers stay in cache
 
 
-def _draw_blocks(values, weights, count: int, depth: int, seed: int):
-    """Yield (start, block): rows start, start + 1, ... of `count` x `depth` i.i.d. draws.
+def _draw_blocks(weights, count: int, depth: int, seed: int):
+    """Yield (start, block): rows start, start + 1, ... of `count` x `depth` i.i.d. digits, as floats.
 
-    Each draw is an inverse CDF of a seeded uniform: the index of the value is
-    the number of cumulative weights at or below it, which is
+    Each digit is an inverse CDF of a seeded uniform: the number of cumulative
+    weights of the law (p0, p1, p2, p3) at or below it, which is
     searchsorted(..., side="right"), ties included.  One reused buffer holds
     the uniforms of a block, filled in turn from one stream, so the blocks
     are the rows of a single (count, depth) draw.
@@ -162,15 +162,11 @@ def _draw_blocks(values, weights, count: int, depth: int, seed: int):
 
     if depth < 1 or count < 1:
         raise ValueError("count and depth must be positive")
-    w = [float(x) for x in weights]
-    if len(w) != len(values) or any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-        raise ValueError("weights must be non-negative and sum to 1 over the values")
-    cum = np.cumsum(w)[:-1]
-    vals = np.asarray(values, dtype=float)
+    cum = np.cumsum([float(x) for x in weights])[:-1]
     rng = np.random.default_rng(seed)
     rows = max(8, _BLOCK // depth // 8 * 8)
     u = np.empty((min(count, rows + 1), depth))
-    idx = np.empty(u.shape, dtype=np.min_scalar_type(len(cum)))
+    idx = np.empty(u.shape, dtype=np.uint8)
     start = 0
     while start < count:
         n = rows if count - start > rows + 1 else count - start  # a lone last row joins its block
@@ -179,30 +175,25 @@ def _draw_blocks(values, weights, count: int, depth: int, seed: int):
         ib.fill(0)
         for c in cum:
             ib += ub >= c
-        yield start, vals.take(ib)
+        yield start, ib.astype(float)
         start += n
-
-
-def sample_digit_series(values, weights, count: int, depth: int, seed: int) -> np.ndarray:
-    """`count` draws of the truncated series sum(v_k * 3**-k), digits i.i.d. per `weights`."""
-    import numpy as np
-
-    powers = 3.0 ** -np.arange(1, depth + 1)
-    out = np.empty(max(count, 0))  # a count below 1 is refused by the draw
-    for start, block in _draw_blocks(values, weights, count, depth, seed):
-        np.matmul(block, powers, out=out[start:start + len(block)])
-    return out
 
 
 def sample(p: ProbVector, depth: int, seed: int) -> Fraction:
     """One exact truncated draw sum(d_k * 3**-k); truncation error <= (3/2)*3**-depth."""
-    _, block = next(_draw_blocks((0, 1, 2, 3), p.probs, 1, depth, seed))
+    _, block = next(_draw_blocks(p.probs, 1, depth, seed))
     return word_value([int(d) for d in block[0]])
 
 
 def sample_many(p: ProbVector, count: int, depth: int, seed: int) -> np.ndarray:
-    """Vector of `count` truncated draws as floats, one seeded stream."""
-    return sample_digit_series((0, 1, 2, 3), p.probs, count, depth, seed)
+    """Vector of `count` truncated draws sum(d_k * 3**-k) as floats, one seeded stream."""
+    import numpy as np
+
+    powers = 3.0 ** -np.arange(1, depth + 1)
+    out = np.empty(max(count, 0))  # a count below 1 is refused by the draw
+    for start, block in _draw_blocks(p.probs, count, depth, seed):
+        np.matmul(block, powers, out=out[start:start + len(block)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +240,7 @@ def cdf_grid(p: ProbVector, xs, tol: float):
                 s * D + r0 * below[t] + r1 * below[t + 3])
 
     def point(x) -> tuple[Fraction, Fraction]:
-        if not isinstance(x, Fraction):
-            try:
-                x = Fraction(x)
-            except (OverflowError, ValueError):
-                raise ValueError(f"x must be a finite number, got {x!r}") from None
+        x = _fraction(x)
         q = x.denominator
         if x.numerator <= 0:
             return Fraction(0), Fraction(0)

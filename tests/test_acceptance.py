@@ -173,8 +173,8 @@ def test_criterion_6_convolution_identities():
         p = ProbVector(F(1, 4), F(1, 4), F(1, 4), F(1, 4))
         u, v = measure.decompose_cantor_pair(p)
         assert (u, v) == (F(1, 2), F(1, 2))
-        theta = measure.sample_digit_series((0, 2), (u, 1 - u), n, 30, seed=201)
-        eps = measure.sample_digit_series((0, 1), (v, 1 - v), n, 30, seed=202)
+        theta = measure.sample_many(ProbVector(u, 0, 1 - u, 0), n, 30, seed=201)
+        eps = measure.sample_many(ProbVector(v, 1 - v, 0, 0), n, 30, seed=202)
         xi = measure.sample_many(p, n, 30, seed=203)
         stat = scipy.stats.ks_2samp(theta + eps, xi).statistic
         assert stat < KS_1PCT_TWO_SAMPLE, stat
@@ -182,8 +182,8 @@ def test_criterion_6_convolution_identities():
         p = ProbVector(F(1, 6), F(1, 3), F(1, 3), F(1, 6))
         x = measure.decompose_uniform_plus_cantor(p)
         assert x == F(1, 2)
-        tau = measure.sample_digit_series((0, 1, 2), (F(1, 3),) * 3, n, 30, seed=204)
-        zeta = measure.sample_digit_series((0, 1), (x, 1 - x), n, 30, seed=205)
+        tau = measure.sample_many(ProbVector(F(1, 3), F(1, 3), F(1, 3), 0), n, 30, seed=204)
+        zeta = measure.sample_many(ProbVector(x, 1 - x, 0, 0), n, 30, seed=205)
         xi = measure.sample_many(p, n, 30, seed=206)
         stat = scipy.stats.ks_2samp(tau + zeta, xi).statistic
         assert stat < KS_1PCT_TWO_SAMPLE, stat

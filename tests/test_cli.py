@@ -299,6 +299,18 @@ def test_repr_and_levelset_domain_errors_exit_1_before_output(capsys, argv):
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("repr", "245/648\n"),                    # Fraction would strip the newline
+    ("repr", " 245/648"),
+    ("repr", "245/648\t"),
+    ("series", "--greedy", "1/2\n"),
+    ("series", "--greedy", " 1/2"),
+])
+def test_a_value_with_surrounding_whitespace_exits_1_before_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "whitespace" in err
+
+
 @pytest.mark.parametrize("argv", [("repr", "1010(12)"), ("repr", "245/648"), ("repr", "(10)"),
                                   ("levelset", "1010(12)"), ("levelset", "(10)")])
 def test_repr_and_levelset_walk_the_residual_graph_once(capsys, monkeypatch, argv):

@@ -1,5 +1,6 @@
 """Tests for the digit-law distribution: classification, sampling, CDF, charfn."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -376,16 +377,52 @@ def test_sample_draws_pinned():
         0.08647244002626821, 0.17470236583176682, 0.8039274350304172, 0.1585575821210633, 0.6717528380384652]
 
 
-def _draw_reference(values, weights, count, depth, seed):
+# (law, seed, sha1 of sample_many(p, 10**4, 40, seed), sample(p, 40, seed)) for the bench laws and shape
+_BENCH_SAMPLES = [
+    (("1/4", "1/4", "1/4", "1/4"), 1, "f808a275f3d13516b884a89b1b3bf434e23f13c5",
+     "4231563901704895003/4052555153018976267"),
+    (("1/4", "1/4", "1/4", "1/4"), 2, "d4e4d0ce9529d734846f97479b8cb0d347aa8602",
+     "6888857237991373969/12157665459056928801"),
+    (("1/4", "1/4", "1/4", "1/4"), 3, "aced8de9ddae6a67f35c6dc3ca4417f0a201054a",
+     "558214131728736053/4052555153018976267"),
+    (("1/6", "1/3", "1/3", "1/6"), 1, "e08eef0b8860f306f4f192155df4fe7ab5f794a7",
+     "4229687160534342427/4052555153018976267"),
+    (("1/6", "1/3", "1/3", "1/6"), 2, "b352235ec3ef65e3443465821ffca4fc5cd14ad8",
+     "6444132396110689492/12157665459056928801"),
+    (("1/6", "1/3", "1/3", "1/6"), 3, "9c91cb9da6b0d92f6b088c91cbb69ef671f844ca",
+     "2575210206967671688/12157665459056928801"),
+    (("1/2", "1/4", "1/4", "0"), 1, "025e9110137cdc9a2eae379702f21c7445025b7d",
+     "785149875245892043/1350851717672992089"),
+    (("1/2", "1/4", "1/4", "0"), 2, "d406fe40fa1f294b85fe2b0371684e6219865d11",
+     "322518034931603765/4052555153018976267"),
+    (("1/2", "1/4", "1/4", "0"), 3, "0b76d1d053c33c9c7f88cb55ab21ed3e38f0ab74",
+     "350435664644034577/4052555153018976267"),
+    (("1/2", "0", "0", "1/2"), 1, "860faccd7e1038f9c57c6b1378adc7d8e45bd073",
+     "617752476690396832/450283905890997363"),
+    (("1/2", "0", "0", "1/2"), 2, "3610611d493dc539132bd6a046db13f4d265c1d0",
+     "172423368194552653/1350851717672992089"),
+    (("1/2", "0", "0", "1/2"), 3, "b3bcaa4f2acbf5c5ce1c447d90b09b4b33baf0fd",
+     "200340935069756107/1350851717672992089"),
+]
+
+
+@pytest.mark.parametrize("law, seed, sha1, exact", _BENCH_SAMPLES)
+def test_sample_draws_pinned_at_the_bench_shape(law, seed, sha1, exact):
+    p = ProbVector.parse(law)
+    assert hashlib.sha1(M.sample_many(p, 10 ** 4, 40, seed).tobytes()).hexdigest() == sha1
+    assert M.sample(p, 40, seed) == F(exact)
+
+
+def _draw_reference(weights, count, depth, seed):
     """The inverse-CDF draw by binary search over the cumulative weights."""
     u = np.random.default_rng(seed).random((count, depth))
     cum = np.cumsum([float(x) for x in weights])[:-1]
-    return np.asarray(values, float)[np.searchsorted(cum, u, side="right")]
+    return np.searchsorted(cum, u, side="right").astype(float)
 
 
-def _draw(values, weights, count, depth, seed):
-    """The (count, depth) array of draws: the blocks of _draw_blocks, concatenated."""
-    return np.concatenate([block for _, block in M._draw_blocks(values, weights, count, depth, seed)])
+def _draw(weights, count, depth, seed):
+    """The (count, depth) array of digits: the blocks of _draw_blocks, concatenated."""
+    return np.concatenate([block for _, block in M._draw_blocks(weights, count, depth, seed)])
 
 
 def test_draw_matches_binary_search_bit_for_bit():
@@ -400,39 +437,33 @@ def test_draw_matches_binary_search_bit_for_bit():
         cases.append([x / sum(w) for x in w] if any(w) else [1.0, 0.0, 0.0, 0.0])
     for i, w in enumerate(cases):
         for count, depth in ((300, 30), (1, 1), (1, 40), (50, 1)):
-            got = _draw((0, 1, 2, 3), w, count, depth, seed=i)
-            assert np.array_equal(got, _draw_reference((0, 1, 2, 3), w, count, depth, seed=i)), (w, count, depth)
+            got = _draw(w, count, depth, seed=i)
+            assert np.array_equal(got, _draw_reference(w, count, depth, seed=i)), (w, count, depth)
     # a uniform equal to a cumulative weight counts that weight, as side="right" does
     u0 = np.random.default_rng(5).random()
-    for w in ((u0, 1 - u0), (u0, 0, 0, 1 - u0)):
-        got = _draw(range(len(w)), w, 4, 3, seed=5)
-        assert got[0, 0] == len(w) - 1
-        assert np.array_equal(got, _draw_reference(range(len(w)), w, 4, 3, seed=5))
-    # more values than an int8 index holds
-    got = _draw(range(300), [1 / 300] * 300, 50, 20, seed=6)
-    assert np.array_equal(got, _draw_reference(range(300), [1 / 300] * 300, 50, 20, seed=6))
-    powers = 3.0 ** -np.arange(1, 21)
-    for values, w in (((2.5,), (1,)), ((0.5, 1.25, 2.0, 2.75), (0.1, 0.0, 0.6, 0.3))):
-        got = M.sample_digit_series(values, w, 100, 20, seed=9)
-        assert np.array_equal(got, _draw_reference(values, w, 100, 20, seed=9) @ powers)
+    w = (u0, 0, 0, 1 - u0)
+    got = _draw(w, 4, 3, seed=5)
+    assert got[0, 0] == 3
+    assert np.array_equal(got, _draw_reference(w, 4, 3, seed=5))
 
 
 @pytest.mark.parametrize("block", [64, 1000])
 def test_draw_blocks_match_one_array_at_block_boundaries(monkeypatch, block):
     monkeypatch.setattr(M, "_BLOCK", block)
     w = (F(1, 6), F(1, 3), F(1, 3), F(1, 6))
+    p = ProbVector(*w)
     for depth in (1, 12, 40, 41):
-        rows = len(next(M._draw_blocks((0, 1, 2, 3), w, 10 ** 6, depth, seed=0))[1])
+        rows = len(next(M._draw_blocks(w, 10 ** 6, depth, seed=0))[1])
         assert rows % 8 == 0 and (rows == 8 or rows * depth <= block)
         powers = 3.0 ** -np.arange(1, depth + 1)
         for count in sorted({1, rows - 1, rows, rows + 1, 2 * rows + 1, 12345} - {0}):
             seed = count + depth
-            ref = _draw_reference((0, 1, 2, 3), w, count, depth, seed)
-            sizes = [(start, len(b)) for start, b in M._draw_blocks((0, 1, 2, 3), w, count, depth, seed)]
+            ref = _draw_reference(w, count, depth, seed)
+            sizes = [(start, len(b)) for start, b in M._draw_blocks(w, count, depth, seed)]
             assert [s for s, _ in sizes] == [0, *np.cumsum([n for _, n in sizes])[:-1]]
             assert all(n == rows for _, n in sizes[:-1]) and (count == 1 or sizes[-1][1] > 1)
-            assert np.array_equal(_draw((0, 1, 2, 3), w, count, depth, seed), ref), (depth, count)
-            got = M.sample_digit_series((0, 1, 2, 3), w, count, depth, seed)
+            assert np.array_equal(_draw(w, count, depth, seed), ref), (depth, count)
+            got = M.sample_many(p, count, depth, seed)
             assert np.array_equal(got, ref @ powers), (depth, count)
 
 

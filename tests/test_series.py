@@ -1,5 +1,6 @@
 """Tests for the governing series, its subsums and the bit-to-digit bridge."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -74,6 +75,15 @@ def test_greedy_error_bound_randomized():
 def test_greedy_rejects_out_of_range():
     with pytest.raises(ValueError):
         S.greedy_approximate(F(8, 5), 5)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("f", [D.admissible_prefixes, D.count_expansion_prefixes,
+                               pytest.param(lambda x, m: D.largest_expansion(x), id="largest_expansion"),
+                               S.greedy_approximate])
+def test_non_finite_values_raise_value_error(f, x):
+    with pytest.raises(ValueError, match="finite"):
+        f(x, 3)
 
 
 def test_eta_subsum_digits():
