@@ -21,20 +21,31 @@ SCHEMA = 1
 
 def _dec(v) -> float:
     """Decimal form rounded to 15 significant digits; a Fraction by one integer division, as float()."""
-    if isinstance(v, Fraction):
+    if type(v) is Fraction:  # not isinstance: Fraction's ABCMeta check is slow for the many floats
         v = v.numerator / v.denominator
     return float(f"{v:.15g}")
 
 
-def _value(text: str) -> Fraction:
-    """A number given as 'a/b' or a decimal, with no surrounding whitespace (which Fraction would
-    strip); Fraction's own ValueError covers other text."""
+def _bare(text: str) -> str:
+    """The text itself, refused if it has surrounding whitespace, which Fraction and
+    ProbVector.parse would strip."""
     if text != text.strip():
         raise ValueError(f"bad value {text!r}: surrounding whitespace")
+    return text
+
+
+def _value(text: str) -> Fraction:
+    """A number given as 'a/b' or a decimal, with no surrounding whitespace; Fraction's own
+    ValueError covers other text."""
     try:
-        return Fraction(text)
+        return Fraction(_bare(text))
     except ZeroDivisionError:
         raise ValueError(f"bad value {text!r}: zero denominator") from None
+
+
+def _law(tokens) -> measure.ProbVector:
+    """The digit law of four probability tokens, each with no surrounding whitespace."""
+    return measure.ProbVector.parse([_bare(tok) for tok in tokens])
 
 
 def cmd_repr(args) -> int:
@@ -62,7 +73,7 @@ def cmd_repr(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    p = measure.ProbVector.parse(args.p)
+    p = _law(args.p)
     c = measure.classify(p)
     out = {"schema": SCHEMA, "class": c.kind.value}
     if c.kind is measure.DistributionKind.ABSOLUTELY_CONTINUOUS:
@@ -78,7 +89,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cdf(args) -> int:
-    p = measure.ProbVector.parse(args.p)
+    p = _law(args.p)
     if args.grid < 2:
         raise ValueError("grid needs at least 2 points")
     span = 2 * (args.grid - 1)
@@ -93,7 +104,7 @@ def cmd_cdf(args) -> int:
 
 
 def cmd_charfn(args) -> int:
-    p = measure.ProbVector.parse(args.p)
+    p = _law(args.p)
     if not (0 < args.step < math.inf and args.tmax >= 0):
         raise ValueError("need finite step > 0 and tmax >= 0")
     tmax = args.tmax + 1e-12 * max(1.0, args.tmax)  # room for rounding: 14911 * 1.1 = 16402.100000000002
@@ -110,7 +121,7 @@ def cmd_charfn(args) -> int:
 
 
 def cmd_lbound(args) -> int:
-    p = measure.ProbVector.parse(args.p)
+    p = _law(args.p)
     bound = measure.limsup_lower_bound(p, args.N, args.K)
     print(json.dumps({"schema": SCHEMA, "lower_bound": _dec(bound), "N": args.N, "K": args.K}))
     return 0
@@ -167,7 +178,7 @@ def cmd_levelset(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    p = measure.ProbVector.parse(args.p)
+    p = _law(args.p)
     out = {"schema": SCHEMA, "uniform_plus_cantor": None, "cantor_pair": None}
     try:
         x = measure.decompose_uniform_plus_cantor(p)

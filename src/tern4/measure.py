@@ -294,7 +294,11 @@ def charfn(p: ProbVector, t: float, K: int) -> CharfnResult:
     """Characteristic function at t as the product of the first K digit factors.
 
     Factor k is P(z) = sum_m p_m z**m at z = exp(i*t*3**-k), evaluated with
-    one cos and one sin, then Horner.  The bound on |true - value| has three
+    one cos and one sin, then Horner.  The loop runs in real and imaginary
+    float parts, with the float operations of the complex products and sums
+    (a float p_m is the complex (p_m, 0), whose zero terms can change only
+    the sign of a zero), so it rounds as complex arithmetic does and the
+    analysis below holds for it.  The bound on |true - value| has three
     parts; eps is the machine epsilon.
 
     - Truncation: the omitted factors differ from 1 by at most 3|t|*3**-k
@@ -347,11 +351,15 @@ def charfn_grid(p: ProbVector, ts, K: int):
             growth = math.expm1(1.5 * abs(t) * tail)
         except OverflowError:
             raise ValueError(f"|t| = {abs(t):g} is too large to bound with K = {K} factors") from None
-        value = 1 + 0j
+        vr, vi = 1.0, 0.0
         for s in powers:  # factor k, with s = 3.0**-k
             w = t * s
-            z = complex(math.cos(w), math.sin(w))
-            value *= ((p3 * z + p2) * z + p1) * z + p0
+            x, y = math.cos(w), math.sin(w)
+            ar, ai = p3 * x + p2, p3 * y  # Horner in real parts, as complex arithmetic rounds it
+            ar, ai = ar * x - ai * y + p1, ar * y + ai * x
+            ar, ai = ar * x - ai * y + p0, ar * y + ai * x
+            vr, vi = vr * ar - vi * ai, vr * ai + vi * ar
+        value = complex(vr, vi)
         truncation = abs(value) * growth
         phase = 8 * _FLOAT_EPS * abs(t) * (1 - tail) / 2
         yield CharfnResult(value, truncation + phase + rounding)

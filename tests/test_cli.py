@@ -311,6 +311,13 @@ def test_a_value_with_surrounding_whitespace_exits_1_before_output(capsys, argv)
     assert code == 1 and out == "" and "whitespace" in err
 
 
+@pytest.mark.parametrize("token", [" 1/4", "1/4\n"])  # ProbVector.parse would strip both
+@pytest.mark.parametrize("command", ["classify", "cdf", "charfn", "lbound", "decompose"])
+def test_a_law_token_with_surrounding_whitespace_exits_1_before_output(capsys, command, token):
+    code, out, err = run(capsys, command, "1/4", token, "1/4", "1/4")
+    assert code == 1 and out == "" and "whitespace" in err
+
+
 @pytest.mark.parametrize("argv", [("repr", "1010(12)"), ("repr", "245/648"), ("repr", "(10)"),
                                   ("levelset", "1010(12)"), ("levelset", "(10)")])
 def test_repr_and_levelset_walk_the_residual_graph_once(capsys, monkeypatch, argv):
@@ -418,6 +425,20 @@ PINNED_STDOUT = [
     (("cdf", "1/6", "1/3", "1/3", "1/6"), "2a8444c62c8916cc5fc52a346bb1bc9109f2bcf9"),
     (("cdf", "1/2", "1/4", "1/4", "0"), "1c58d7f3af632994bd16670e5052ea89dd19a943"),
     (("cdf", "1/2", "0", "0", "1/2"), "d9539441c26b275355e080c59f8f9f58e55073ca"),
+    # the rest of the spectral bench calls: float work whose bits the fast paths must keep
+    (("classify", "1/4", "1/4", "1/4", "1/4"), "9dcebc0b236843cc95e6cebc96b306a00404d55c"),
+    (("classify", "1/2", "1/4", "1/4", "0"), "64180b8bcb99687e516d43dc4ba70f0027556fa1"),
+    (("classify", "1/2", "0", "0", "1/2"), "f9a80affc63633682c51046a10dc5a2eaaa80c8a"),
+    (("charfn", "1/6", "1/3", "1/3", "1/6", "--tmax", "50", "--step", "0.5", "--K", "40"),
+     "ac05d568c2507aba9c1a6809c62cb8b54d79b856"),
+    (("charfn", "1/2", "1/4", "1/4", "0", "--tmax", "50", "--step", "0.5", "--K", "40"),
+     "d2d526fd03c699725f137b6f339f13bf6a69b983"),
+    (("charfn", "1/2", "0", "0", "1/2", "--tmax", "50", "--step", "0.5", "--K", "40"),
+     "2b68f1c1b65a1702dcf4d4a2f21e99229ddb8c8d"),
+    (("lbound", "1/4", "1/4", "1/4", "1/4", "--N", "10"), "23f5cc4b4db339cf8deed737d766e16f51c9f63c"),
+    (("lbound", "1/6", "1/3", "1/3", "1/6", "--N", "10"), "935ccd92647d94192c1b23ae6c2ec606693f16dc"),
+    (("lbound", "1/2", "1/4", "1/4", "0", "--N", "10"), "b3fb23f1f5701e1e56f1ecf05fbc0c96f29ceae9"),
+    (("lbound", "1/2", "0", "0", "1/2", "--N", "10"), "c0f36ceaa377bbf4a552e9fa1e4c8dc67c42df81"),
 ]
 
 

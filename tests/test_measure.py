@@ -313,6 +313,27 @@ def test_charfn_grid_equals_charfn_bit_for_bit():
             assert M.limsup_lower_bound(p, N, 40) == max(0.0, best)
 
 
+def test_charfn_real_parts_round_as_the_complex_product():
+    # charfn_grid multiplies in real and imaginary parts; the complex loop of
+    # _charfn_one must give the same bits, zero signs included, for every zero
+    # pattern, at tiny, negative and large t, and on the witnesses of lbound
+    rng = random.Random(14)
+    laws = [pv("1/4", "1/4", "1/4", "1/4"), pv("1/6", "1/3", "1/3", "1/6"),
+            pv("1/2", "1/4", "1/4", 0), pv("1/2", 0, 0, "1/2"),
+            ProbVector.parse(("0.1", "0.2", "0.3", "0.4"))]
+    for mask in [m for m in range(1, 16) if bin(m).count("1") >= 2] * 2:
+        w = [rng.randrange(1, 30) if mask >> i & 1 else 0 for i in range(4)]
+        laws.append(pv(*[F(x, sum(w)) for x in w]))
+    ts = [0.5 * j for j in range(101)] + [2 * math.pi * n for n in range(1, 41)] + [5e-324, -5e-324, -0.0]
+    ts += [rng.uniform(-60, 60) for _ in range(20)]
+    for K in (1, 12, 40, 60):
+        big = min(1e5, 400 * 3.0 ** K)  # expm1 of the truncation term stays finite
+        grid_ts = ts + [rng.uniform(-big, big) for _ in range(20)]
+        for p in laws:
+            grid = [_bits(r.value, r.tail_bound) for r in M.charfn_grid(p, grid_ts, K)]
+            assert grid == [_bits(*_charfn_one(p, t, K)) for t in grid_ts], (p, K)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300])
 def test_charfn_grid_refuses_a_bad_t_when_it_reaches_it(bad):
     grid = M.charfn_grid(pv("1/4", "1/4", "1/4", "1/4"), iter([0.5, 1.0, bad, 2.0]), 40)
