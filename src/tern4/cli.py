@@ -1,10 +1,13 @@
 """Batch command line for the redundant base-3 toolkit: JSON for single results,
-RFC-4180 CSV for tables.  Domain errors exit 1, usage errors exit 2."""
+RFC-4180 CSV for tables.  Domain errors exit 1, usage errors exit 2.
+
+Numbers are rounded to 15 significant digits: `_dec` gives the float for JSON, `_num` the text
+of a CSV field.  A CSV row is written as one string ending in "\r\n", csv.writer's line end;
+its fields are numbers, digit words and a/b values, none of which needs quoting."""
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -20,10 +23,27 @@ SCHEMA = 1
 
 
 def _dec(v) -> float:
-    """Decimal form rounded to 15 significant digits; a Fraction by one integer division, as float()."""
+    """Decimal form rounded to 15 significant digits, for JSON; a Fraction by one integer
+    division, as float()."""
     if type(v) is Fraction:  # not isinstance: Fraction's ABCMeta check is slow for the many floats
         v = v.numerator / v.denominator
     return float(f"{v:.15g}")
+
+
+def _num(v) -> str:
+    """repr(_dec(v)), the CSV field of a number, with one formatting call where it can.
+
+    A decimal of at most 15 significant digits is the only one of that length that rounds to
+    its double (DBL_DIG = 15), so repr's shortest digits are those of %.15g and only the layout
+    can differ: repr adds ".0" to a whole number, writes [1e15, 1e16) in fixed form and may
+    shorten a subnormal.  Those, inf and nan take the slow path.
+    """
+    if type(v) is Fraction:
+        v = v.numerator / v.denominator
+    s = f"{v:.15g}"
+    if "e+" in s or "n" in s or (v and abs(v) < 1e-300):  # >= 1e15, inf, nan, near-subnormal
+        return repr(float(s))
+    return s if "." in s or "e" in s else s + ".0"
 
 
 def _bare(text: str) -> str:
@@ -95,11 +115,11 @@ def cmd_cdf(args) -> int:
     span = 2 * (args.grid - 1)
     # cdf_grid rejects a bad tolerance when called, before any output
     grid = measure.cdf_grid(p, (Fraction(3 * j, span) for j in range(args.grid)), args.tol)
-    w = csv.writer(sys.stdout)
-    w.writerow(["x", "lo", "hi"])
+    write = sys.stdout.write
+    write("x,lo,hi\r\n")
     # 3 * j / span rounds once, to the float of the exact x
     for j, (lo, hi) in enumerate(grid):
-        w.writerow([_dec(3 * j / span), _dec(lo), _dec(hi)])
+        write(f"{_num(3 * j / span)},{_num(lo)},{_num(hi)}\r\n")
     return 0
 
 
@@ -108,15 +128,16 @@ def cmd_charfn(args) -> int:
     if not (0 < args.step < math.inf and args.tmax >= 0):
         raise ValueError("need finite step > 0 and tmax >= 0")
     tmax = args.tmax + 1e-12 * max(1.0, args.tmax)  # room for rounding: 14911 * 1.1 = 16402.100000000002
-    measure.charfn(p, tmax, args.K)  # rejects bad K and a tmax it cannot bound before any output
     # j * step, not a running sum, so rounding does not pile up
     ts, grid = itertools.tee(itertools.takewhile(lambda t: t <= tmax,
                                                  (j * args.step for j in itertools.count())))
-    w = csv.writer(sys.stdout)
-    w.writerow(["t", "re", "im", "abs", "tail_bound"])
-    for t, r in zip(ts, measure.charfn_grid(p, grid, args.K)):
-        w.writerow([_dec(t), _dec(r.value.real), _dec(r.value.imag),
-                    _dec(abs(r.value)), _dec(r.tail_bound)])
+    results = measure.charfn_grid(p, grid, args.K)  # rejects a bad K at once
+    measure.truncation_growth(tmax, args.K)  # and a tmax it cannot bound, before any output
+    write = sys.stdout.write
+    write("t,re,im,abs,tail_bound\r\n")
+    for t, r in zip(ts, results):
+        v = r.value
+        write(f"{_num(t)},{_num(v.real)},{_num(v.imag)},{_num(abs(v))},{_num(r.tail_bound)}\r\n")
     return 0
 
 
@@ -138,10 +159,8 @@ def cmd_dimension(args) -> int:
     if limit and max(count for _, count in est.counts) >= 10 ** limit:
         raise ValueError(f"a count has more than {limit} digits, past Python's int-to-string limit "
                          "(sys.set_int_max_str_digits)")
-    rows = [[n, str(count), _dec(math.log(count) / math.log(3))] for n, count in est.counts]
-    w = csv.writer(sys.stdout)
-    w.writerow(["n", "count", "log3_count"])
-    w.writerows(rows)
+    rows = [f"{n},{count},{_num(math.log(count) / math.log(3))}\r\n" for n, count in est.counts]
+    sys.stdout.write("n,count,log3_count\r\n" + "".join(rows))
     target = fractal.dimension_target(digit_set)
     print(json.dumps({
         "schema": SCHEMA,
@@ -208,10 +227,8 @@ def cmd_series(args) -> int:
         bits = bits + (0,) * (3 - len(bits) % 3)  # padding leaves the subsum unchanged
     word = series.eta_subsum_digits(bits)
     # str() of a value past Python's int-to-string limit raises: convert before any output
-    row = ["".join(map(str, bits)), "".join(map(str, word)), str(digits.word_value(word))]
-    w = csv.writer(sys.stdout)
-    w.writerow(["bits", "digits", "value"])
-    w.writerow(row)
+    row = f"{''.join(map(str, bits))},{''.join(map(str, word))},{digits.word_value(word)}\r\n"
+    sys.stdout.write("bits,digits,value\r\n" + row)
     return 0
 
 

@@ -102,12 +102,13 @@ class DimensionEstimate:
 def box_dimension(digit_set: Iterable[int], n_max: int, base: int = 3) -> DimensionEstimate:
     """Least-squares slope of log_base(N(n)) against n, fitted on levels > n_max/2.
 
+    n_max must be at least 3, so that the fit has two levels or more.
     Memory grows as n_max**2: the returned `counts` keep the exact N(n) of
     every level, and N(n) has about n digits.
     """
     V = _checked_digit_set(digit_set, base)
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
+    if n_max < 3:
+        raise ValueError("n_max must be at least 3: the fit needs two levels above n_max/2")
     counts = _cell_counts(V, n_max, base)
     levels = list(range(1, n_max + 1))
     logs = [math.log(c) / math.log(base) for c in counts]
@@ -116,7 +117,7 @@ def box_dimension(digit_set: Iterable[int], n_max: int, base: int = 3) -> Dimens
     xbar = sum(xs) / len(xs)
     ybar = sum(ys) / len(ys)
     sxx = sum((u - xbar) ** 2 for u in xs)
-    slope = sum((u - xbar) * (v - ybar) for u, v in zip(xs, ys)) / sxx if sxx else 0.0
+    slope = sum((u - xbar) * (v - ybar) for u, v in zip(xs, ys)) / sxx
     ss_res = sum((v - ybar - slope * (u - xbar)) ** 2 for u, v in zip(xs, ys))
     ss_tot = sum((v - ybar) ** 2 for v in ys)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot

@@ -327,30 +327,44 @@ def charfn(p: ProbVector, t: float, K: int) -> CharfnResult:
     return next(charfn_grid(p, (t,), K))
 
 
+def truncation_growth(t: float, K: int) -> float:
+    """expm1(1.5|t|*3**-K), which bounds the omitted factors of charfn(p, t, K).
+
+    Raises ValueError for the t that charfn refuses: one that is not finite,
+    or one so large that the bound overflows.  The bound grows with |t|, so
+    the largest t of a grid decides for all of them.
+    """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    try:
+        return math.expm1(1.5 * abs(t) * 3.0 ** -K)
+    except OverflowError:
+        raise ValueError(f"|t| = {abs(t):g} is too large to bound with K = {K} factors") from None
+
+
 def charfn_grid(p: ProbVector, ts, K: int):
-    """Yield charfn(p, t, K) for each t of `ts` in turn, bit for bit.
+    """Iterator of charfn(p, t, K) for each t of `ts` in turn, bit for bit.
 
     The floats of p and the powers 3.0**-k are made once for the whole grid;
     each t gets the same checks, Horner steps and bound terms, in the same
-    order, as one call of charfn.  A t that charfn refuses raises ValueError
-    when the grid reaches it.
+    order, as one call of charfn.  A bad K raises ValueError at once, and a t
+    that charfn refuses raises ValueError when the grid reaches it.
     """
     if K < 1:
         raise ValueError("K must be positive")
+    return _charfn_points(p, ts, K)
+
+
+def _charfn_points(p: ProbVector, ts, K: int):
     p0, p1, p2, p3 = (float(v) for v in p.probs)
     powers = [3.0 ** -k for k in range(1, K + 1)]
     tail = powers[-1]
     rounding = 16 * K * _FLOAT_EPS
     for t in ts:
-        if not math.isfinite(t):
-            raise ValueError("t must be finite")
+        growth = truncation_growth(t, K)
         if t == 0:
             yield CharfnResult(1 + 0j, 0.0)
             continue
-        try:
-            growth = math.expm1(1.5 * abs(t) * tail)
-        except OverflowError:
-            raise ValueError(f"|t| = {abs(t):g} is too large to bound with K = {K} factors") from None
         vr, vi = 1.0, 0.0
         for s in powers:  # factor k, with s = 3.0**-k
             w = t * s

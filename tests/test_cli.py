@@ -9,9 +9,12 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tern4
 from tern4 import cli, digits
@@ -153,6 +156,8 @@ def test_dimension_output(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--digits", "013", "--nmax", "0"], ["--digits", "4", "--nmax", "5"],
+                                  # one level above nmax/2: a fit of one point used to read slope 0.0
+                                  ["--digits", "013", "--nmax", "1"], ["--digits", "013", "--nmax", "2"],
                                   # 2**15000 has more digits than Python converts to a string
                                   ["--digits", "12", "--nmax", "15000"]])
 def test_dimension_bad_arguments_exit_1(capsys, argv):
@@ -174,6 +179,29 @@ def test_dimension_count_too_long_to_print_fails_before_output(capsys):
         assert code == 0 and len(out.splitlines()) == 2129
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+_DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
+#: where repr's layout leaves %.15g's: whole numbers, [1e15, 1e16), subnormals, the ends of the range
+_LAYOUT_EDGES = [0.0, -0.0, 1.0, -3.0, 0.5, 1e-4, 9.99999999999999e-5, 1e-5, 1e14, 123456789012345.0,
+                 999999999999999.4, 999999999999999.5, math.nextafter(1e15, 0), 1e15, 3e15,
+                 math.nextafter(1e16, 0), 1e16, 1e17, 2.0 ** 53, 1e-300, math.nextafter(1e-300, 0),
+                 math.nextafter(_DBL_MIN, 0), _DBL_MIN, math.nextafter(_DBL_MIN, 1), 5e-324, 1e-310,
+                 math.nextafter(_DBL_MAX, 0), _DBL_MAX, math.inf, -math.inf, math.nan]
+
+
+@given(st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                 st.sampled_from(_LAYOUT_EDGES),
+                 st.builds(lambda e, m: m * 10.0 ** e, st.integers(-330, 308), st.integers(-9, 9)),
+                 st.fractions(max_denominator=10 ** 20),
+                 st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 400))))
+@settings(max_examples=2000)
+@example(Fraction(1, 3))
+@example(Fraction(10 ** 15))
+@example(Fraction(1, 10 ** 320))
+def test_num_is_repr_of_dec(v):
+    # the CSV writers print _num(v), where they printed csv.writer's repr of _dec(v)
+    assert cli._num(v) == repr(cli._dec(v))
 
 
 def _imported_modules(*args):
@@ -198,6 +226,8 @@ def test_numpy_not_imported_by_cli():
     ("levelset", "1010(12)"),
     ("repr", "1010(12)"),
     ("dimension", "--digits", "013", "--nmax", "12"),
+    ("cdf", "1/4", "1/4", "1/4", "1/4"),
+    ("series", "--greedy", "1/2"),
 ])
 def test_closed_stdout_exits_1_without_a_traceback(argv):
     # as in `tern4 charfn ... | head`: the reader is gone before the first write
@@ -439,6 +469,16 @@ PINNED_STDOUT = [
     (("lbound", "1/6", "1/3", "1/3", "1/6", "--N", "10"), "935ccd92647d94192c1b23ae6c2ec606693f16dc"),
     (("lbound", "1/2", "1/4", "1/4", "0", "--N", "10"), "b3fb23f1f5701e1e56f1ecf05fbc0c96f29ceae9"),
     (("lbound", "1/2", "0", "0", "1/2", "--N", "10"), "c0f36ceaa377bbf4a552e9fa1e4c8dc67c42df81"),
+    (("dimension", "--digits", "0123", "--nmax", "11"), "09c2193ae982b6686eedd2c894ad7456e1c9cd12"),
+    (("dimension", "--digits", "013", "--nmax", "12"), "5efb605658b5bae050be3469facc44ba3c40a045"),
+    (("dimension", "--digits", "023", "--nmax", "12"), "62f4dac896267d7a442c2dea087fc57e169e2553"),
+    (("dimension", "--digits", "12", "--nmax", "16"), "4c6a68790a5ffe27972a3186aada3876ac2caa93"),
+    (("dimension", "--digits", "03", "--nmax", "16"), "07d696bec81723d6d6aabc8566aed3b4fefc3d58"),
+    # layouts where repr differs from the 15-digit %g: whole numbers, [1e15, 1e16), extreme tolerances
+    (("dimension", "--digits", "0", "--nmax", "3"), "f129d5e1f6de9e01e4cc62fed4607cfdbbacc52c"),
+    (("charfn", "1/4", "1/4", "1/4", "1/4", "--tmax", "3e15", "--step", "1e15", "--K", "60"),
+     "663875086ccd26f98a62cc2db5b14a90db77917e"),  # prints 1000000000000000.0
+    (("cdf", "1/4", "1/4", "1/4", "1/4", "--grid", "2", "--tol", "1e-300"), "321bbdeb3e6dedc6e3559b5f0f871fb0470c7c7b"),
 ]
 
 

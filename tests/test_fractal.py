@@ -115,6 +115,20 @@ def test_box_dimension_sparse_triple():
     assert [c for _, c in mirrored.counts] == [c for _, c in est.counts]
 
 
+@pytest.mark.parametrize("n_max", [-1, 0, 1, 2])
+def test_box_dimension_needs_two_levels_to_fit(n_max):
+    # n_max = 1 or 2 leaves one level above n_max/2, whose fit used to read slope 0.0, r2 1.0
+    with pytest.raises(ValueError, match="at least 3"):
+        Fr.box_dimension((0, 1, 3), n_max)
+    with pytest.raises(ValueError, match="at least 3"):
+        Fr.continuum_levelset_dimension(n_max)
+
+
+def test_box_dimension_fits_two_levels_at_n_max_3():
+    est = Fr.box_dimension((1, 2), 3)
+    assert est.slope == pytest.approx(Fr.DIM_TWO_DIGITS) and est.r2 == 1.0
+
+
 def test_dimension_targets():
     assert Fr.dimension_target((1, 2)) == Fr.DIM_TWO_DIGITS
     assert Fr.dimension_target((0, 1, 3)) == Fr.DIM_SPARSE_TRIPLE

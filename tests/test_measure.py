@@ -352,6 +352,21 @@ def test_charfn_grid_refuses_k_below_one(K):
         M.charfn(p, 1.0, K)
 
 
+@pytest.mark.parametrize("K", [0, -3])
+def test_charfn_grid_refuses_k_below_one_when_called(K):
+    # as cdf_grid refuses a bad tolerance: at the call, not at the first next()
+    with pytest.raises(ValueError, match="K must be positive"):
+        M.charfn_grid(pv("1/4", "1/4", "1/4", "1/4"), iter([math.nan]), K)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e300, -1e300])
+def test_truncation_growth_refuses_what_charfn_refuses(t):
+    with pytest.raises(ValueError):
+        M.truncation_growth(t, 40)
+    with pytest.raises(ValueError):
+        M.charfn(pv("1/4", "1/4", "1/4", "1/4"), t, 40)
+
+
 def _simplex_grid_tenths():
     pts = []
     for i in range(11):
