@@ -6,10 +6,11 @@ fractal dimension of the closure.  The counts are exact at every level: a
 finite automaton over the differences between a word and the smaller words
 that may still reach its value counts them in time linear in the level, with
 no level cap (the finite-type / neighbour-graph method of Lalley, Trans. AMS
-349 (1997), and Ngai & Wang, J. London Math. Soc. 63 (2001)).  Also hosts the
-entropy (digit-frequency) dimension formula, the reinterpretation map from
-ordinary base-4 expansions to redundant base-3 digit strings, and its level
-sets.
+349 (1997), and Ngai & Wang, J. London Math. Soc. 63 (2001)).  The dimension
+target is computed from the same automaton, as log3 of the largest eigenvalue
+of its integer matrix.  Also hosts the entropy (digit-frequency) dimension
+formula, the reinterpretation map from ordinary base-4 expansions to redundant
+base-3 digit strings, and its level sets.
 """
 
 from __future__ import annotations
@@ -23,14 +24,11 @@ from typing import Iterable, Sequence
 from tern4 import digits
 from tern4.digits import Cardinality, DigitString, ReprCardinality
 
-#: dimension of any two-digit expansion set (no colliding digit sums)
-DIM_TWO_DIGITS = math.log(2, 3)
-#: dimension of the {0,1,3} and {0,2,3} expansion sets (counts grow like (3+sqrt 5)/2)
-DIM_SPARSE_TRIPLE = math.log((3 + math.sqrt(5)) / 2, 3)
-
 
 def _checked_digit_set(digit_set: Iterable[int], base: int) -> tuple[int, ...]:
     V = tuple(sorted(set(int(c) for c in digit_set)))
+    if base < 2:
+        raise ValueError(f"base must be at least 2, got {base}")
     if not V:
         raise ValueError("digit set must be non-empty")
     if any(c < 0 or c > base for c in V):
@@ -38,25 +36,23 @@ def _checked_digit_set(digit_set: Iterable[int], base: int) -> tuple[int, ...]:
     return V
 
 
-class _Differences(dict):
-    """The difference automaton over the digits V: state S -> its edges (c, T), one for each
-    digit c whose T does not hold 0.  A walk makes each state's edges once, on first use."""
-
-    def __init__(self, V: tuple[int, ...], base: int):
-        super().__init__()
-        self.V, self.base = V, base
-
-    def __missing__(self, S: frozenset) -> list[tuple[int, frozenset]]:
-        V, base = self.V, self.base
-        span = V[-1] - V[0]
-        edges = self[S] = []
+def _automaton(V: tuple[int, ...], base: int) -> list[list[tuple[int, int]]]:
+    """The difference automaton over the digits V, built once by a walk from the empty set:
+    row i holds the edges (c, j) of state i, one for each digit c whose next set does not
+    hold 0.  State 0 is the empty set; the others are numbered as the walk first meets them."""
+    span = V[-1] - V[0]
+    states, rows = [frozenset()], []
+    for S in states:  # the list grows while the walk numbers new states
+        row = []
         for c in V:
-            T = {base * d + e - c for d in S for e in V}
-            T.update(e - c for e in V if e < c)
+            T = {base * d + e - c for d in S for e in V} | {e - c for e in V if e < c}
             T = frozenset(d for d in T if abs(d) * (base - 1) <= span)
             if 0 not in T:
-                edges.append((c, T))
-        return edges
+                if T not in states:
+                    states.append(T)
+                row.append((c, states.index(T)))
+        rows.append(row)
+    return rows
 
 
 def _cell_counts(V: tuple[int, ...], n_max: int, base: int) -> list[int]:
@@ -73,7 +69,7 @@ def _cell_counts(V: tuple[int, ...], n_max: int, base: int) -> list[int]:
     The states form a finite automaton (the differences are bounded integers);
     N(n) is the number of length-n paths from the empty set.
     """
-    levels = itertools.islice(digits._levels(_Differences(V, base), frozenset()), 1, n_max + 1)
+    levels = itertools.islice(digits._levels(_automaton(V, base), 0), 1, n_max + 1)
     return [sum(level.values()) for level in levels]
 
 
@@ -125,21 +121,20 @@ def box_dimension(digit_set: Iterable[int], n_max: int, base: int = 3) -> Dimens
 
 
 def dimension_target(digit_set: Iterable[int]) -> float:
-    """Known dimension of the base-3 expansion set over the given digits."""
-    V = _checked_digit_set(digit_set, 3)
-    if len(V) == 1:
-        return 0.0
-    if len(V) == 2:
-        return DIM_TWO_DIGITS
-    if V in ((0, 1, 3), (0, 2, 3)):
-        return DIM_SPARSE_TRIPLE
-    return 1.0  # three consecutive digits, or all four, fill an interval
+    """Dimension of the base-3 expansion set over the given digits, computed as log3 of the
+    growth rate of its cell counts: the largest eigenvalue of the difference automaton's
+    integer matrix.  For any subset of {0,1,2,3} the automaton has at most two states,
+    so the eigenvalue is the closed form for a 2x2 matrix [[a, b], [c, d]]."""
+    rows = _automaton(_checked_digit_set(digit_set, 3), 3)
+    rows += [[]] * (2 - len(rows))  # pad one state with an idle one; a third fails to unpack
+    (a, b), (c, d) = ([sum(j == k for _, j in row) for k in (0, 1)] for row in rows)
+    return math.log((a + d + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2, 3)
 
 
 def eggleston_dimension(frequencies: Sequence) -> float:
     """Entropy dimension -sum(p * log3 p) of the set with prescribed digit frequencies."""
     fs = [Fraction(f) if not isinstance(f, float) else f for f in frequencies]
-    if any(f <= 0 for f in fs):
+    if any(not f > 0 for f in fs):  # nan is not > 0 either
         raise ValueError("frequencies must be positive")
     total = sum(fs)
     exact = all(isinstance(f, Fraction) for f in fs)

@@ -67,9 +67,29 @@ def test_count_cells_deep_levels():
             assert Fr.count_cells(V, n) == 2 ** n
     assert Fr.count_cells((0, 1, 2, 3), n) == (3 ** (n + 1) - 1) // 2
     assert Fr.count_cells((0, 1, 3), n) == Fr.count_cells((0, 2, 3), n) == _fibonacci(2 * n + 2)
+    assert Fr.count_cells((0, 1, 2), n) == Fr.count_cells((1, 2, 3), n) == 3 ** n
+    for c in range(4):
+        assert Fr.count_cells((c,), n) == 1
+    assert Fr.count_cells((3, 4), n, base=16) == 2 ** n
     for V in _SUBSETS:
         n200, n201 = Fr._cell_counts(V, 201, 3)[-2:]
         assert abs(math.log(n201 / n200, 3) - Fr.dimension_target(V)) < 1e-6, V
+
+
+@pytest.mark.parametrize("V", _SUBSETS)
+def test_automaton_fits_the_two_state_closed_form(V):
+    # dimension_target reads the eigenvalue from a 2x2 matrix; a third state would be lost
+    assert len(Fr._automaton(V, 3)) <= 2
+
+
+@pytest.mark.parametrize("base", [1, 0])
+def test_base_below_two_is_refused(base):
+    # at base 1 the automaton's filter |d| * (base - 1) <= span keeps every difference,
+    # so its build would not end, and the fit would divide by log(1) = 0
+    with pytest.raises(ValueError, match="at least 2"):
+        Fr.count_cells((0, 1), 5, base=base)
+    with pytest.raises(ValueError, match="at least 2"):
+        Fr.box_dimension((0, 1), 5, base=base)
 
 
 def test_count_cells_guards():
@@ -104,13 +124,13 @@ def test_growth_ratio_sparse_triple():
 def test_box_dimension_two_digits():
     est = Fr.box_dimension((1, 2), 12)
     assert all(c == 2 ** n for n, c in est.counts)
-    assert abs(est.slope - Fr.DIM_TWO_DIGITS) < 1e-9
+    assert abs(est.slope - math.log(2, 3)) < 1e-9
     assert est.r2 == pytest.approx(1.0)
 
 
 def test_box_dimension_sparse_triple():
     est = Fr.box_dimension((0, 1, 3), 13)
-    assert abs(est.slope - Fr.DIM_SPARSE_TRIPLE) < 0.02
+    assert abs(est.slope - math.log((3 + math.sqrt(5)) / 2, 3)) < 0.02
     mirrored = Fr.box_dimension((0, 2, 3), 13)
     assert [c for _, c in mirrored.counts] == [c for _, c in est.counts]
 
@@ -126,12 +146,12 @@ def test_box_dimension_needs_two_levels_to_fit(n_max):
 
 def test_box_dimension_fits_two_levels_at_n_max_3():
     est = Fr.box_dimension((1, 2), 3)
-    assert est.slope == pytest.approx(Fr.DIM_TWO_DIGITS) and est.r2 == 1.0
+    assert est.slope == pytest.approx(math.log(2, 3)) and est.r2 == 1.0
 
 
 def test_dimension_targets():
-    assert Fr.dimension_target((1, 2)) == Fr.DIM_TWO_DIGITS
-    assert Fr.dimension_target((0, 1, 3)) == Fr.DIM_SPARSE_TRIPLE
+    assert Fr.dimension_target((1, 2)) == math.log(2, 3)
+    assert Fr.dimension_target((0, 1, 3)) == math.log((3 + math.sqrt(5)) / 2, 3)
     assert Fr.dimension_target((0, 1, 2)) == 1.0
     assert Fr.dimension_target((0, 1, 2, 3)) == 1.0
     assert Fr.dimension_target((2,)) == 0.0
@@ -144,6 +164,62 @@ def test_eggleston_dimension():
         Fr.eggleston_dimension((1, 0, 0))
     with pytest.raises(ValueError):
         Fr.eggleston_dimension((F(1, 2), F(1, 4), F(1, 8)))
+
+
+def test_eggleston_dimension_refuses_nan():
+    # nan compares False both ways, so only a test for `f > 0` turns it away
+    with pytest.raises(ValueError, match="positive"):
+        Fr.eggleston_dimension([math.nan, 0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# the unique-expansion set: the nine cells [k/6, (k+1)/6] of [0, 3/2]
+
+def _unique_cells():
+    """The cells with one admissible digit, read at their midpoints (2k+1)/12, each with the
+    kept cells among the middle cell of its image under y -> 3y - c and the cells either side."""
+    graph = D._Graph(12)
+    kept = [k for k in range(9) if len(graph[2 * k + 1]) == 1]
+    successors = {}
+    for k in kept:
+        [(c, t)] = graph[2 * k + 1]
+        middle = (t - 1) // 2  # the cell of the midpoint's image t/12
+        successors[k] = [j for j in (middle - 1, middle, middle + 1) if j in kept]
+    return successors
+
+
+def test_unique_expansion_set_has_dimension_log3_2():
+    # the paper's last theorem: every kept cell has two kept successors, so 6 * 2**n paths
+    successors = _unique_cells()
+    assert sorted(successors) == [0, 1, 3, 5, 7, 8]
+    level = {k: 1 for k in successors}
+    for n in range(41):
+        assert sum(level.values()) == 6 * 2 ** n
+        nxt = dict.fromkeys(successors, 0)
+        for k, paths in level.items():
+            for j in successors[k]:
+                nxt[j] += paths
+        level = nxt
+    assert math.log(sum(level.values()) / (6 * 2 ** 40), 3) == math.log(2, 3)
+
+
+def _walk_enters_a_branching_cell(x):
+    """Whether the largest-digit walk of x meets [1/3, 1/2], [2/3, 5/6] or [1, 7/6]."""
+    n, q = x.numerator, x.denominator
+    seen = {n}
+    for _, n in D._largest_walk(n, q):
+        if n in seen:
+            break
+        seen.add(n)
+    return any(lo * q <= 6 * s <= (lo + 1) * q for s in seen for lo in (2, 4, 6))
+
+
+def test_unique_expansions_are_the_walks_that_avoid_the_branching_cells():
+    values = {F(n, q) for q in range(1, 61) for n in range(3 * q // 2 + 1)}
+    assert len(values) == 1654
+    for x in values:
+        unique = D.classify_cardinality(D.largest_expansion(x)).kind is D.Cardinality.UNIQUE
+        assert unique is not _walk_enters_a_branching_cell(x), x
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,12 @@ def test_probvector_float_inputs_marked_inexact():
     (("1/3", "1/3", "1/3", "0"), DistributionKind.ABSOLUTELY_CONTINUOUS, None),
     (("0", "1/3", "1/3", "1/3"), DistributionKind.ABSOLUTELY_CONTINUOUS, None),
     (("1/4", "1/4", "1/4", "1/4"), DistributionKind.SINGULAR_FULL_OVERLAP, None),
-    (("1/2", "0", "1/4", "1/4"), DistributionKind.SINGULAR_CANTOR, fractal.DIM_SPARSE_TRIPLE),
-    (("1/4", "1/4", "0", "1/2"), DistributionKind.SINGULAR_CANTOR, fractal.DIM_SPARSE_TRIPLE),
+    (("1/2", "0", "1/4", "1/4"), DistributionKind.SINGULAR_CANTOR, math.log((3 + math.sqrt(5)) / 2, 3)),
+    (("1/4", "1/4", "0", "1/2"), DistributionKind.SINGULAR_CANTOR, math.log((3 + math.sqrt(5)) / 2, 3)),
     (("1/2", "1/4", "1/4", "0"), DistributionKind.SINGULAR_INCREASING, 1.5 * math.log(2, 3)),
     (("0", "1/4", "1/4", "1/2"), DistributionKind.SINGULAR_INCREASING, None),
-    (("1/2", "0", "0", "1/2"), DistributionKind.SINGULAR_CANTOR, fractal.DIM_TWO_DIGITS),
-    (("0", "1/2", "1/2", "0"), DistributionKind.SINGULAR_CANTOR, fractal.DIM_TWO_DIGITS),
+    (("1/2", "0", "0", "1/2"), DistributionKind.SINGULAR_CANTOR, math.log(2, 3)),
+    (("0", "1/2", "1/2", "0"), DistributionKind.SINGULAR_CANTOR, math.log(2, 3)),
 ])
 def test_classify(vals, kind, dim):
     c = M.classify(pv(*vals))
@@ -99,9 +99,9 @@ def _classify_by_zero_pattern(p):
     if not zeros:
         return DistributionKind.SINGULAR_FULL_OVERLAP, None
     if len(zeros) == 2:
-        return DistributionKind.SINGULAR_CANTOR, fractal.DIM_TWO_DIGITS
+        return DistributionKind.SINGULAR_CANTOR, math.log(2, 3)
     if zeros[0] in (1, 2):
-        return DistributionKind.SINGULAR_CANTOR, fractal.DIM_SPARSE_TRIPLE
+        return DistributionKind.SINGULAR_CANTOR, math.log((3 + math.sqrt(5)) / 2, 3)
     active = [v for i, v in enumerate(p.probs) if i != zeros[0]]
     return DistributionKind.SINGULAR_INCREASING, fractal.eggleston_dimension(active)
 
