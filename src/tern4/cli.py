@@ -46,31 +46,9 @@ def _num(v) -> str:
     return s if "." in s or "e" in s else s + ".0"
 
 
-def _bare(text: str) -> str:
-    """The text itself, refused if it has surrounding whitespace, which Fraction and
-    ProbVector.parse would strip."""
-    if text != text.strip():
-        raise ValueError(f"bad value {text!r}: surrounding whitespace")
-    return text
-
-
-def _value(text: str) -> Fraction:
-    """A number given as 'a/b' or a decimal, with no surrounding whitespace; Fraction's own
-    ValueError covers other text."""
-    try:
-        return Fraction(_bare(text))
-    except ZeroDivisionError:
-        raise ValueError(f"bad value {text!r}: zero denominator") from None
-
-
-def _law(tokens) -> measure.ProbVector:
-    """The digit law of four probability tokens, each with no surrounding whitespace."""
-    return measure.ProbVector.parse([_bare(tok) for tok in tokens])
-
-
 def cmd_repr(args) -> int:
     if "/" in args.digitstring:  # a value a/b stands for its lexicographically largest expansion
-        d = digits.largest_expansion(_value(args.digitstring))
+        d = digits.largest_expansion(args.digitstring)
     else:
         d = digits.parse(args.digitstring)
     card, expand = digits._census(d)  # one walk of the residual graph serves both parts
@@ -93,7 +71,7 @@ def cmd_repr(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    p = _law(args.p)
+    p = measure.ProbVector.parse(args.p)
     c = measure.classify(p)
     out = {"schema": SCHEMA, "class": c.kind.value}
     if c.kind is measure.DistributionKind.ABSOLUTELY_CONTINUOUS:
@@ -109,7 +87,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cdf(args) -> int:
-    p = _law(args.p)
+    p = measure.ProbVector.parse(args.p)
     if args.grid < 2:
         raise ValueError("grid needs at least 2 points")
     span = 2 * (args.grid - 1)
@@ -124,7 +102,7 @@ def cmd_cdf(args) -> int:
 
 
 def cmd_charfn(args) -> int:
-    p = _law(args.p)
+    p = measure.ProbVector.parse(args.p)
     if not (0 < args.step < math.inf and args.tmax >= 0):
         raise ValueError("need finite step > 0 and tmax >= 0")
     tmax = args.tmax + 1e-12 * max(1.0, args.tmax)  # room for rounding: 14911 * 1.1 = 16402.100000000002
@@ -142,7 +120,7 @@ def cmd_charfn(args) -> int:
 
 
 def cmd_lbound(args) -> int:
-    p = _law(args.p)
+    p = measure.ProbVector.parse(args.p)
     bound = measure.limsup_lower_bound(p, args.N, args.K)
     print(json.dumps({"schema": SCHEMA, "lower_bound": _dec(bound), "N": args.N, "K": args.K}))
     return 0
@@ -197,7 +175,7 @@ def cmd_levelset(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    p = _law(args.p)
+    p = measure.ProbVector.parse(args.p)
     out = {"schema": SCHEMA, "uniform_plus_cantor": None, "cantor_pair": None}
     try:
         x = measure.decompose_uniform_plus_cantor(p)
@@ -222,7 +200,7 @@ def cmd_series(args) -> int:
             "n_checked": args.check,
         }))
         return 0
-    bits = series.greedy_approximate(_value(args.greedy), args.nmax)
+    bits = series.greedy_approximate(args.greedy, args.nmax)
     if len(bits) % 3:
         bits = bits + (0,) * (3 - len(bits) % 3)  # padding leaves the subsum unchanged
     word = series.eta_subsum_digits(bits)

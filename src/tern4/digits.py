@@ -271,14 +271,36 @@ def _levels(graph, start):
         level = nxt
 
 
+#: the text of a number from outside: ASCII 'a/b' or a decimal, an optional sign, no whitespace
+_NUMBER = re.compile(r"[-+]?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)", re.ASCII)
+_SUM_TOL = 1e-12  # accepted drift from 1 of a sum of weights when one of them is inexact
+
+
 def _fraction(x) -> Fraction:
-    """x as a Fraction; ValueError for an infinity or nan, as for anything else Fraction refuses."""
+    """x as a Fraction: the one conversion of numbers given from outside.  Text must fullmatch
+    `_NUMBER`, the same on every Python (Fraction's own grammar took underscores at 3.11 and
+    spaces around '/' at 3.12).  A zero denominator, an infinity and nan raise ValueError, as
+    does anything else Fraction refuses."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and not _NUMBER.fullmatch(x):
+        raise ValueError(f"bad number {x!r}: need ASCII 'a/b' or a decimal with no whitespace")
     try:
         return Fraction(x)
-    except (OverflowError, ValueError):
-        raise ValueError(f"x must be a finite number, got {x!r}") from None
+    except (OverflowError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{x!r} is not a finite number") from None
+
+
+def _inexact(x) -> bool:
+    """Whether x stands for a rounded value: a float, or text with a '.' or an exponent."""
+    return isinstance(x, float) or isinstance(x, str) and ("." in x or "e" in x.lower())
+
+
+def _sums_to_one(values: Sequence[Fraction], exact: bool, name: str) -> None:
+    """ValueError unless the values sum to 1: exactly, or within _SUM_TOL when not `exact`."""
+    total = sum(values)
+    if total != 1 if exact else abs(float(total) - 1.0) > _SUM_TOL:
+        raise ValueError(f"{name} sum to {total if exact else float(total)}, expected 1")
 
 
 def _state(x) -> tuple[int, int]:

@@ -133,13 +133,13 @@ def dimension_target(digit_set: Iterable[int]) -> float:
 
 def eggleston_dimension(frequencies: Sequence) -> float:
     """Entropy dimension -sum(p * log3 p) of the set with prescribed digit frequencies."""
-    fs = [Fraction(f) if not isinstance(f, float) else f for f in frequencies]
-    if any(not f > 0 for f in fs):  # nan is not > 0 either
+    try:
+        fs = [digits._fraction(f) for f in frequencies]
+    except ValueError as exc:  # nan, an infinity or bad text
+        raise ValueError(f"frequencies must be positive: {exc}") from None
+    if any(f <= 0 for f in fs):
         raise ValueError("frequencies must be positive")
-    total = sum(fs)
-    exact = all(isinstance(f, Fraction) for f in fs)
-    if (exact and total != 1) or (not exact and abs(float(total) - 1.0) > 1e-12):
-        raise ValueError(f"frequencies sum to {total}, expected 1")
+    digits._sums_to_one(fs, not any(map(digits._inexact, frequencies)), "frequencies")
     return -sum(float(f) * math.log(float(f), 3) for f in fs)
 
 

@@ -18,10 +18,9 @@ from enum import Enum
 from fractions import Fraction
 
 from tern4 import fractal
-from tern4.digits import _fraction, word_value
+from tern4.digits import _fraction, _inexact, _sums_to_one, word_value
 
 THIRD = Fraction(1, 3)
-_SUM_TOL = 1e-12     # accepted drift of sum(p) for inexact inputs
 _MATCH_TOL = 1e-9    # tolerance of condition checks for inexact inputs
 
 
@@ -29,9 +28,10 @@ _MATCH_TOL = 1e-9    # tolerance of condition checks for inexact inputs
 class ProbVector:
     """Digit probabilities (p0, p1, p2, p3): each in [0, 1), summing to one.
 
-    Values are stored as exact fractions.  Inputs given as floats or decimal
-    strings are marked inexact; condition checks then use a 1e-9 tolerance
-    instead of exact equality.
+    Values are stored as exact fractions, converted by `digits._fraction`.
+    A float or decimal text ('0.25') is inexact, and so is every value when
+    exact=False; condition checks then use a 1e-9 tolerance instead of exact
+    equality.
     """
 
     p0: Fraction
@@ -42,36 +42,23 @@ class ProbVector:
 
     def __post_init__(self):
         given = (self.p0, self.p1, self.p2, self.p3)
-        vals = [Fraction(v) for v in given]
-        exact = self.exact and not any(isinstance(v, float) for v in given)
+        vals = [_fraction(v) for v in given]
+        exact = self.exact and not any(map(_inexact, given))
         for v in vals:
             if not 0 <= v < 1:
                 raise ValueError(f"digit probability {v} outside [0, 1)")
-        total = sum(vals)
-        if exact:
-            if total != 1:
-                raise ValueError(f"probabilities sum to {total}, expected 1")
-        elif abs(float(total) - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {float(total)}, expected 1")
+        _sums_to_one(vals, exact, "probabilities")
         for name, v in zip(("p0", "p1", "p2", "p3"), vals):
             object.__setattr__(self, name, v)
         object.__setattr__(self, "exact", exact)
 
     @classmethod
     def parse(cls, tokens) -> "ProbVector":
-        """Four components, each 'a/b' (exact) or a decimal (inexact)."""
+        """Four components, each text 'a/b' (exact) or a decimal (inexact), as `ProbVector`
+        reads them: ASCII, with no whitespace."""
         if len(tokens) != 4:
             raise ValueError("expected exactly four probabilities")
-        vals, exact = [], True
-        for tok in tokens:
-            tok = str(tok).strip()
-            try:
-                vals.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad probability {tok!r}: {exc}") from None
-            if "." in tok or "e" in tok.lower():
-                exact = False
-        return cls(*vals, exact=exact)
+        return cls(*map(str, tokens))
 
     @property
     def probs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -427,9 +414,8 @@ def eta_params(q0) -> ProbVector:
     The result is always singular: its middle probabilities cannot both be
     1/3.
     """
-    exact = not isinstance(q0, float)
-    q = Fraction(q0)
+    q = _fraction(q0)
     if not 0 < q < 1:
         raise ValueError("q0 must lie strictly between 0 and 1")
     r = 1 - q
-    return ProbVector(q ** 3, 3 * q * q * r, 3 * q * r * r, r ** 3, exact=exact)
+    return ProbVector(q ** 3, 3 * q * q * r, 3 * q * r * r, r ** 3, exact=not _inexact(q0))

@@ -129,6 +129,8 @@ def test_charfn_grid_points_do_not_drift(capsys, tmax, step, rows):
     ["charfn", "--K", "0"],
     ["charfn", "--tmax", "inf"],  # used to loop without end
     ["charfn", "--tmax", "1e22", "--step", "4e21"],  # used to print rows, then fail
+    ["cdf", "--grid", "1"],
+    ["charfn", "--step", "0"],
 ])
 def test_bad_numeric_argument_rejected_before_output(capsys, argv):
     code, out, err = run(capsys, argv[0], "1/4", "1/4", "1/4", "1/4", *argv[1:])
@@ -159,7 +161,8 @@ def test_dimension_output(capsys):
                                   # one level above nmax/2: a fit of one point used to read slope 0.0
                                   ["--digits", "013", "--nmax", "1"], ["--digits", "013", "--nmax", "2"],
                                   # 2**15000 has more digits than Python converts to a string
-                                  ["--digits", "12", "--nmax", "15000"]])
+                                  ["--digits", "12", "--nmax", "15000"],
+                                  ["--digits", "0x", "--nmax", "5"]])
 def test_dimension_bad_arguments_exit_1(capsys, argv):
     code, out, err = run(capsys, "dimension", *argv)
     assert code == 1 and out == "" and "error" in err
@@ -284,6 +287,9 @@ def test_series_greedy_zero_denominator_exits_1(capsys):
     ("series", "--greedy", "-1/2"),            # a negative value, not an option
     ("series", "--greedy", "-.5"),
     ("classify", "-1/4", "1/2", "1/2", "1/4"),
+    # Fraction takes spaces around "/" from Python 3.12 and underscores from 3.11; tern4 takes neither
+    ("classify", "1 / 4", "1/4", "1/4", "1/4"),
+    ("classify", "1_0/40", "1/4", "1/4", "1/4"),
 ])
 def test_series_and_classify_domain_errors_exit_1_before_output(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -323,6 +329,9 @@ def test_repr_of_a_value_is_repr_of_its_largest_expansion(capsys, value, text):
     ("repr", "1/0"),
     ("levelset", "8/5"),                       # levelset reads digit strings only
     ("repr", "1010(12)\n"),                    # a trailing newline is not part of a digit string
+    ("repr", "2 / 3"),                         # one grammar for a/b on every Python: ASCII,
+    ("repr", "1_0/30"),                        # no underscores, no spaces
+    ("repr", "\u0661/\u0663"),                 # Arabic-Indic digits, which Fraction reads as 1/3
 ])
 def test_repr_and_levelset_domain_errors_exit_1_before_output(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import _residual_graph_expansions
@@ -37,6 +37,45 @@ def test_parse_canonicalizes():
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         D.parse(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DigitString((4,), (0,)),
+    lambda: DigitString((1,), ()),                 # an empty period
+    lambda: DigitString(()),                       # no digit at all
+    lambda: D.evaluate(D.parse("(1)"), base=1),
+    lambda: D.rewrite_sites(D.parse("(03)"), 0),
+    lambda: Cylinder(()),
+    lambda: D.admissible_prefixes(F(1, 2), 0),
+    lambda: D.count_expansion_prefixes(F(1, 2), -1),
+    lambda: ReprCardinality(Cardinality.FINITE, 1),
+    lambda: ReprCardinality(Cardinality.UNIQUE, 3),
+])
+def test_refusals_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+# short texts only: Fraction builds 10**e for an exponent e, so a long exponent takes long
+@given(st.one_of(st.text(max_size=7), st.text(alphabet="0123456789+-./eE_ \t\n\u0661\u0663", max_size=7)))
+@example("2 / 3")
+@example("1_0/30")
+@example("\u0661/\u0663")
+@example("1/0")
+@example("0/0")
+@settings(max_examples=500)
+def test_fraction_reads_one_grammar(text):
+    # the text fullmatches _NUMBER: the value Fraction reads, or ValueError for a zero
+    # denominator; otherwise ValueError, whatever Fraction's grammar on this Python takes
+    try:
+        want = F(text) if D._NUMBER.fullmatch(text) else None
+    except ZeroDivisionError:
+        want = None
+    if want is None:
+        with pytest.raises(ValueError):
+            D._fraction(text)
+    else:
+        assert D._fraction(text) == want
 
 
 digit_words = st.lists(st.integers(0, 3), max_size=6).map(tuple)
@@ -133,6 +172,10 @@ def test_apply_rewrite_examples():
     out = D.apply_rewrite(d, D.rewrite_sites(d, 1)[0])
     assert out == D.parse("20(3)")
     assert D.evaluate(out) == D.evaluate(d) == F(5, 6)
+
+
+def test_apply_rewrite_on_a_finite_word():
+    assert D.apply_rewrite(D.parse("03"), D.RewriteSite(1, (0, 3), (1, 0))) == DigitString((1, 0))
 
 
 def test_apply_rewrite_rejects_bad_site():

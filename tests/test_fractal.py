@@ -172,6 +172,18 @@ def test_eggleston_dimension_refuses_nan():
         Fr.eggleston_dimension([math.nan, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("frequencies", [["1/0", "1"], [" 1/2", "1/2"], ["1_0/20", "1/2"]])
+def test_eggleston_dimension_refuses_bad_text(frequencies):
+    with pytest.raises(ValueError):
+        Fr.eggleston_dimension(frequencies)
+
+
+def test_eggleston_dimension_reads_decimal_text_as_inexact():
+    # the decimals sum to 1 - 1e-16: within 1e-12 of 1, as floats may
+    assert Fr.eggleston_dimension(["0.5", "0.4999999999999999"]) == pytest.approx(math.log(2, 3))
+    assert Fr.eggleston_dimension(["1/2", "1/2"]) == pytest.approx(math.log(2, 3))
+
+
 # ---------------------------------------------------------------------------
 # the unique-expansion set: the nine cells [k/6, (k+1)/6] of [0, 3/2]
 

@@ -57,6 +57,28 @@ def test_probvector_float_inputs_marked_inexact():
     assert not ProbVector(drift, 0.25, 0.25, 0.25).exact
 
 
+@pytest.mark.parametrize("texts", [
+    # sums to 1 exactly, but each text is a rounded 1/6 or 1/3: inexact, so absolutely continuous
+    ("0.16666666666667", "0.33333333333333", "0.33333333333333", "0.16666666666667"),
+    ("1/6", "1/3", "1/3", "1/6"),
+    ("0.25", "1/4", "1/4", "1/4"),
+])
+def test_probvector_and_parse_read_text_alike(texts):
+    p, q = ProbVector(*texts), ProbVector.parse(texts)
+    assert p == q and p.exact == q.exact == ("." not in "".join(texts))
+    assert M.classify(p) == M.classify(q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ProbVector(0.25, 0.25, 0.25, 0.25 + 1e-9),  # inexact, yet off by more than 1e-12
+    lambda: M.sample_many(pv("1/4", "1/4", "1/4", "1/4"), 0, 5, 1),
+    lambda: M.limsup_lower_bound(pv("1/4", "1/4", "1/4", "1/4"), 0),
+])
+def test_refusals_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -814,6 +836,12 @@ def test_eta_params():
     for bad in (0, 1, F(3, 2), F(-1, 2)):
         with pytest.raises(ValueError):
             M.eta_params(bad)
+
+
+@pytest.mark.parametrize("q0, exact", [("0.5", False), (0.5, False), ("1/2", True), (F(1, 2), True)])
+def test_eta_params_exactness_follows_the_input(q0, exact):
+    p = M.eta_params(q0)
+    assert p.exact is exact and p.probs == (F(1, 8), F(3, 8), F(3, 8), F(1, 8))
 
 
 def test_eta_params_always_singular():

@@ -8,6 +8,7 @@ from itertools import accumulate
 import pytest
 
 from tern4 import digits as D
+from tern4 import measure as M
 from tern4 import series as S
 
 F = Fraction
@@ -80,10 +81,19 @@ def test_greedy_rejects_out_of_range():
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("f", [D.admissible_prefixes, D.count_expansion_prefixes,
                                pytest.param(lambda x, m: D.largest_expansion(x), id="largest_expansion"),
-                               S.greedy_approximate])
+                               S.greedy_approximate,
+                               pytest.param(lambda x, m: M.ProbVector(x, 0.0, 0.0, 0.0), id="ProbVector"),
+                               pytest.param(lambda x, m: M.eta_params(x), id="eta_params")])
 def test_non_finite_values_raise_value_error(f, x):
     with pytest.raises(ValueError, match="finite"):
         f(x, 3)
+
+
+@pytest.mark.parametrize("call", [lambda: S.series_remainder(-1), lambda: S.kakeya_check(0),
+                                  lambda: S.greedy_approximate(F(1, 2), 0)])
+def test_bad_indices_and_lengths_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_eta_subsum_digits():
