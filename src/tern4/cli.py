@@ -91,13 +91,13 @@ def cmd_cdf(args) -> int:
     if args.grid < 2:
         raise ValueError("grid needs at least 2 points")
     span = 2 * (args.grid - 1)
-    # cdf_grid rejects a bad tolerance when called, before any output
-    grid = measure.cdf_grid(p, (Fraction(3 * j, span) for j in range(args.grid)), args.tol)
+    point = measure._cdf_point(p, args.tol)  # rejects a bad tolerance before any output
     write = sys.stdout.write
     write("x,lo,hi\r\n")
-    # 3 * j / span rounds once, to the float of the exact x
-    for j, (lo, hi) in enumerate(grid):
-        write(f"{_num(3 * j / span)},{_num(lo)},{_num(hi)}\r\n")
+    # an int / int rounds once, to the float of the exact quotient, as _num of its Fraction does
+    for j in range(args.grid):
+        lo, hi, den = point(3 * j, span)
+        write(f"{_num(3 * j / span)},{_num(lo / den)},{_num(hi / den)}\r\n")
     return 0
 
 

@@ -36,21 +36,20 @@ class ParseError(ValueError):
     """Text does not match the digit-string grammar ``[0-3]*(\\([0-3]+\\))?``."""
 
 
+_DIGITS = frozenset(range(MAX_DIGIT + 1))
+
+
 def _check_digits(word: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(c) for c in word)
-    for c in out:
-        if not 0 <= c <= MAX_DIGIT:
-            raise ValueError(f"digit {c!r} outside 0..{MAX_DIGIT}")
+    out = tuple(map(int, word))
+    if not _DIGITS.issuperset(out):
+        raise ValueError(f"digit {next(c for c in out if c not in _DIGITS)!r} outside 0..{MAX_DIGIT}")
     return out
 
 
 def _primitive_root(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Shortest word whose repetition equals `word`."""
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d]
-    return word
+    """Shortest word whose repetition equals `word`: as long as its least rotation onto itself."""
+    b = bytes(word)
+    return word[:(b + b).find(b, 1)]
 
 
 @dataclass(frozen=True)
@@ -104,11 +103,11 @@ def parse(text: str) -> DigitString:
     m = _GRAMMAR.fullmatch(text)
     if m is None:
         raise ParseError(f"not a digit string: {text!r}")
-    pre = tuple(int(c) for c in m.group("pre"))
+    pre = tuple(map(int, m.group("pre")))
     per = m.group("per")
     if per is None and not pre:
         raise ParseError("empty digit string")
-    return DigitString(pre, None if per is None else tuple(int(c) for c in per))
+    return DigitString(pre, None if per is None else tuple(map(int, per)))
 
 
 def _numerator(word: Sequence[int], base: int) -> int:
@@ -234,9 +233,10 @@ def cylinder_overlap(base: Sequence[int], i: int) -> Cylinder:
 # expansions of x are the infinite paths from n; every state has an out-edge.
 
 class _Graph(dict):
-    """The residual graph over the fixed q: state n -> its edges (c, 3n - c*q) that keep the
-    residual in [0, 3/2], for the digits c in 0..3 from ceil((6n - 3q)/2q) to floor(3n/q).
-    A walk makes each state's edges once, on first use."""
+    """The residual graph over the fixed q: state n -> its edges (c, 3n - c*q), in digit order,
+    for the digits c in 0..3 that keep the residual in [0, 3/2].  They fill [3y - 3/2, 3y], of
+    length 3/2, so at most two: c = min(3, floor(3n/q)), and c - 1 when c >= 1 and its residual
+    3n - cq + q is at most 3q/2.  A walk makes each state's edges once, on first use."""
 
     def __init__(self, q: int):
         super().__init__()
@@ -244,8 +244,9 @@ class _Graph(dict):
 
     def __missing__(self, n: int) -> list[tuple[int, int]]:
         q = self.q
-        lo, hi = max(0, -((3 * q - 6 * n) // (2 * q))), min(MAX_DIGIT, 3 * n // q)
-        edges = self[n] = [(c, 3 * n - c * q) for c in range(lo, hi + 1)]
+        c = min(MAX_DIGIT, 3 * n // q)
+        r = 3 * n - c * q
+        edges = self[n] = [(c - 1, r + q), (c, r)] if c and 2 * r <= q else [(c, r)]
         return edges
 
 
@@ -272,7 +273,7 @@ def _levels(graph, start):
 
 
 #: the text of a number from outside: ASCII 'a/b' or a decimal, an optional sign, no whitespace
-_NUMBER = re.compile(r"[-+]?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)", re.ASCII)
+_NUMBER = re.compile(r"[-+]?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d{1,4})?)", re.ASCII)
 _SUM_TOL = 1e-12  # accepted drift from 1 of a sum of weights when one of them is inexact
 
 

@@ -206,17 +206,29 @@ def cdf(p: ProbVector, x, tol: float) -> tuple[Fraction, Fraction]:
 
 
 def cdf_grid(p: ProbVector, xs, tol: float):
-    """Iterator of cdf(p, x, tol) for each x of `xs` in turn, bit for bit.
+    """Iterator of cdf(p, x, tol) for each x of `xs` in turn, bit for bit: the integers of each
+    x, read by `digits._fraction`, go through the one `_cdf_point` pass made for the grid, and
+    the integers it returns become Fractions here.  A bad tolerance raises ValueError at once,
+    and an x that cdf refuses raises ValueError when the grid reaches it."""
+    point = _cdf_point(p, tol)
 
-    The common denominator D of p, the integer weights D * p_c, their partial
-    sums, F(1) and the integers of tol are made once for the whole grid; each
-    x gets the same digit pass and period solve as one call of cdf.  A bad
-    tolerance raises ValueError at once, and an x that cdf refuses raises
-    ValueError when the grid reaches it.
-    """
+    def fractions(x) -> tuple[Fraction, Fraction]:
+        x = _fraction(x)
+        lo, hi, den = point(x.numerator, x.denominator)
+        return (Fraction(lo, den),) * 2 if lo == hi else (Fraction(lo, den), Fraction(hi, den))
+
+    return map(fractions, xs)
+
+
+def _cdf_point(p: ProbVector, tol: float):
+    """point(n, q) -> (lo, hi, den), cdf(p, n/q, tol) as (lo/den, hi/den): its digit pass and
+    period solve in integers.  D, the integer weights D * p_c, their partial sums, F(1) and the
+    integers of tol are made once, and a bad tolerance raises ValueError at once.  q > 0 need
+    not be reduced: with g = gcd(n, q) each remainder is g times the reduced one, so the
+    digits, the repeat positions and the returned integers are the same."""
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
-    tol_num, tol_den = Fraction(tol).as_integer_ratio()
+    tol_num, tol_den = (tol if type(tol) is float else Fraction(tol)).as_integer_ratio()
     D = math.lcm(*(v.denominator for v in p.probs))
     w = [0] + [v.numerator * (D // v.denominator) for v in p.probs] + [0, 0]  # w[c + 1] = D * p_c
     below = [sum(w[:j]) for j in range(len(w))]  # below[t] = D * sum_{c <= t-2} p_c
@@ -226,14 +238,12 @@ def cdf_grid(p: ProbVector, xs, tol: float):
         return (r0 * w[t + 1] + r1 * w[t + 4], r0 * w[t] + r1 * w[t + 3],
                 s * D + r0 * below[t] + r1 * below[t + 3])
 
-    def point(x) -> tuple[Fraction, Fraction]:
-        x = _fraction(x)
-        q = x.denominator
-        if x.numerator <= 0:
-            return Fraction(0), Fraction(0)
-        if 2 * x.numerator >= 3 * q:  # x >= 3/2
-            return Fraction(1), Fraction(1)
-        i, n = divmod(x.numerator, q)
+    def point(n: int, q: int) -> tuple[int, int, int]:
+        if n <= 0:
+            return 0, 0, 1
+        if 2 * n >= 3 * q:  # x >= 3/2
+            return 1, 1, 1
+        i, n = divmod(n, q)
         # after k digits F(x) = (r0 F(n/q) + r1 F(n/q + 1) + s) / D**k, and den = f1_den * D**k
         r0, r1, s, den = 1 - i, i, 0, f1_den
         seen = {}  # remainder -> the step that met it
@@ -241,7 +251,7 @@ def cdf_grid(p: ProbVector, xs, tol: float):
             width = r0 * f1_num + r1 * w[4]  # (hi - lo) * den
             if width * tol_den <= tol_num * den:
                 lo = s * f1_den + r1 * f1_num
-                return Fraction(lo, den), Fraction(lo + width, den)
+                return lo, lo + width, den
             seen[n] = len(seen)
             t, n = divmod(3 * n, q)  # then `step`, written out in this per-digit loop
             r0, r1, s = (r0 * w[t + 1] + r1 * w[t + 4], r0 * w[t] + r1 * w[t + 3],
@@ -257,10 +267,10 @@ def cdf_grid(p: ProbVector, xs, tol: float):
         det = (E - a) * (E - d) - b * c  # of E I - P
         v0 = beta0 * (E - d) + b * beta1  # V(n/q) = (v0, v1) / det
         v1 = beta1 * (E - a) + c * beta0
-        value = Fraction(r0 * v0 + r1 * v1 + s * det, D ** len(seen) * det)
-        return value, value
+        value = r0 * v0 + r1 * v1 + s * det
+        return value, value, D ** len(seen) * det
 
-    return map(point, xs)
+    return point
 
 
 # ---------------------------------------------------------------------------

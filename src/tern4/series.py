@@ -38,8 +38,8 @@ def kakeya_check(n_max: int) -> bool:
 
 
 def _checked_bits(bits: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
+    out = tuple(map(int, bits))
+    if not {0, 1}.issuperset(out):
         raise ValueError("selector bits must be 0 or 1")
     return out
 

@@ -1,6 +1,8 @@
 """CLI contract tests: JSON payloads, CSV tables, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,11 +15,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tern4
-from tern4 import cli, digits
+from tern4 import cli, digits, measure
 
 
 def run(capsys, *argv):
@@ -102,6 +104,38 @@ def test_cdf_csv(capsys):
     for x_s, lo_s, hi_s in rows[1:]:
         x, lo, hi = float(x_s), float(lo_s), float(hi_s)
         assert lo - 1e-9 <= min(max(x, 0.0), 1.0) <= hi + 1e-9
+
+
+@st.composite
+def _small_laws(draw):
+    """Four probabilities 'k/d' with one denominator d <= 12, each below 1."""
+    d = draw(st.integers(2, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=3, max_size=3)))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, d])]
+    assume(max(parts) < d)
+    return tuple(f"{k}/{d}" for k in parts)
+
+
+@given(_small_laws(), st.integers(2, 60), st.sampled_from(["1e-2", "1e-4", "1e-300"]))
+@settings(max_examples=80, deadline=None)
+def test_cdf_rows_are_the_library_fractions(law, grid, tol):
+    # the CLI prints lo / den from the integer pass; each must be _num of cdf_grid's Fraction
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["cdf", *law, "--grid", str(grid), "--tol", tol]) == 0
+    span = 2 * (grid - 1)
+    xs = [Fraction(3 * j, span) for j in range(grid)]
+    pairs = measure.cdf_grid(measure.ProbVector.parse(law), xs, float(tol))
+    want = [f"{cli._num(3 * j / span)},{cli._num(lo)},{cli._num(hi)}" for j, (lo, hi) in enumerate(pairs)]
+    assert out.getvalue().split("\r\n") == ["x,lo,hi", *want, ""]
+
+
+def test_a_five_digit_exponent_exits_1_at_once(capsys):
+    # Fraction would build 10**999999999 before any refusal
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "1e999999999", "0", "0", "0")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_charfn_csv(capsys):

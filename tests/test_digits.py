@@ -63,6 +63,7 @@ def test_refusals_raise_value_error(call):
 @example("\u0661/\u0663")
 @example("1/0")
 @example("0/0")
+@example("1e99999")
 @settings(max_examples=500)
 def test_fraction_reads_one_grammar(text):
     # the text fullmatches _NUMBER: the value Fraction reads, or ValueError for a zero
@@ -76,6 +77,38 @@ def test_fraction_reads_one_grammar(text):
             D._fraction(text)
     else:
         assert D._fraction(text) == want
+
+
+
+def test_fraction_caps_the_exponent_at_four_digits():
+    # Fraction builds 10**e: an exponent of five digits or more is refused before that
+    with pytest.raises(ValueError, match="bad number"):
+        D._fraction("1e10000")
+    assert D._fraction("1e-9999") == F(1, 10 ** 9999)
+    assert D._fraction("-2.5E+0012") == F(-25 * 10 ** 11)
+
+
+def _primitive_root_by_divisors(word):
+    n = len(word)
+    for d in range(1, n + 1):
+        if n % d == 0 and word == word[:d] * (n // d):
+            return word[:d]
+    return word
+
+
+def test_primitive_root_matches_the_divisor_loop_exhaustive():
+    for k in range(1, 9):
+        for word in product(range(4), repeat=k):
+            assert D._primitive_root(word) == _primitive_root_by_divisors(word), word
+
+
+def test_digit_check_names_the_first_bad_digit():
+    with pytest.raises(ValueError, match=r"digit 7 outside 0\.\.3"):
+        DigitString((1, 7, 9))
+    with pytest.raises(ValueError, match="digit -1 "):
+        DigitString((0,), (2, -1))
+    assert Cylinder("0123").base == (0, 1, 2, 3)
+    assert DigitString("12", "3") == DigitString((1, 2), (3,))
 
 
 digit_words = st.lists(st.integers(0, 3), max_size=6).map(tuple)
@@ -275,6 +308,15 @@ def test_graph_edges_match_the_four_digit_filter_exhaustive():
         for n in range(3 * q // 2 + 1):
             expected = [(c, 3 * n - c * q) for c in range(4) if 0 <= 2 * (3 * n - c * q) <= 3 * q]
             assert graph[n] == expected and expected, (n, q)
+
+
+def test_graph_two_edge_rule_matches_the_digit_interval_exhaustive():
+    # the admissible digits are ceil((6n - 3q)/2q) .. floor(3n/q), cut to 0..3
+    for q in range(1, 401):
+        graph = D._Graph(q)
+        for n in range(3 * q // 2 + 1):
+            lo, hi = max(0, -((3 * q - 6 * n) // (2 * q))), min(3, 3 * n // q)
+            assert graph[n] == [(c, 3 * n - c * q) for c in range(lo, hi + 1)], (n, q)
 
 
 def test_largest_expansion_is_the_last_admissible_prefix_exhaustive():

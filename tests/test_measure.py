@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tern4 import fractal
 from tern4 import measure as M
@@ -729,6 +731,19 @@ def test_cdf_grid_equals_cdf_bit_for_bit():
             got = list(M.cdf_grid(p, xs, tol))
             assert got == [M.cdf(p, x, tol) for x in xs], vals
             assert all(type(v) is F for pair in got for v in pair)
+
+
+@given(st.sampled_from(_EXHAUSTIVE_LAWS), st.sampled_from([1e-2, 1e-4, 1e-300]),
+       st.integers(-5, 400), st.integers(1, 250))
+@settings(max_examples=300, deadline=None)
+def test_cdf_point_is_the_same_for_an_unreduced_fraction(vals, tol, n, q):
+    # every remainder of the pass at gn/gq is g times the one at n/q
+    p = pv(*vals)
+    point = M._cdf_point(p, tol)
+    lo, hi, den = point(n, q)
+    for g in range(1, 6):
+        assert point(g * n, g * q) == (lo, hi, den), g
+    assert (F(lo, den), F(hi, den)) == M.cdf(p, F(n, q), tol)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
