@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -44,6 +43,14 @@ def _num(v) -> str:
     if "e+" in s or "n" in s or (v and abs(v) < 1e-300):  # >= 1e15, inf, nan, near-subnormal
         return repr(float(s))
     return s if "." in s or "e" in s else s + ".0"
+
+
+def _float(x, name: str) -> float:
+    """float() of a number text (read by digits._fraction), Fraction or int; ValueError on overflow."""
+    try:
+        return float(digits._fraction(x))
+    except OverflowError:
+        raise ValueError(f"{name} is past the float range") from None
 
 
 def cmd_repr(args) -> int:
@@ -91,7 +98,7 @@ def cmd_cdf(args) -> int:
     if args.grid < 2:
         raise ValueError("grid needs at least 2 points")
     span = 2 * (args.grid - 1)
-    point = measure._cdf_point(p, args.tol)  # rejects a bad tolerance before any output
+    point = measure._cdf_point(p, _float(args.tol, "tol"))  # rejects a bad tolerance before any output
     write = sys.stdout.write
     write("x,lo,hi\r\n")
     # an int / int rounds once, to the float of the exact quotient, as _num of its Fraction does
@@ -103,19 +110,18 @@ def cmd_cdf(args) -> int:
 
 def cmd_charfn(args) -> int:
     p = measure.ProbVector.parse(args.p)
-    if not (0 < args.step < math.inf and args.tmax >= 0):
-        raise ValueError("need finite step > 0 and tmax >= 0")
-    tmax = args.tmax + 1e-12 * max(1.0, args.tmax)  # room for rounding: 14911 * 1.1 = 16402.100000000002
-    # j * step, not a running sum, so rounding does not pile up
-    ts, grid = itertools.tee(itertools.takewhile(lambda t: t <= tmax,
-                                                 (j * args.step for j in itertools.count())))
-    results = measure.charfn_grid(p, grid, args.K)  # rejects a bad K at once
-    measure.truncation_growth(tmax, args.K)  # and a tmax it cannot bound, before any output
+    tmax, step = digits._fraction(args.tmax), digits._fraction(args.step)
+    s = _float(step, "step")
+    if not (s > 0 and tmax >= 0):
+        raise ValueError("need step > 0 and tmax >= 0")
+    n = tmax // step  # exactly: the grid is t = j * s for j = 0..n, not a running sum
+    results = measure.charfn_grid(p, (j * s for j in range(n + 1)), args.K)  # rejects a bad K at once
+    measure.truncation_growth(_float(n, "tmax / step") * s, args.K)  # the last t, before any output
     write = sys.stdout.write
     write("t,re,im,abs,tail_bound\r\n")
-    for t, r in zip(ts, results):
+    for j, r in enumerate(results):
         v = r.value
-        write(f"{_num(t)},{_num(v.real)},{_num(v.imag)},{_num(abs(v))},{_num(r.tail_bound)}\r\n")
+        write(f"{_num(j * s)},{_num(v.real)},{_num(v.imag)},{_num(abs(v))},{_num(r.tail_bound)}\r\n")
     return 0
 
 
@@ -127,10 +133,9 @@ def cmd_lbound(args) -> int:
 
 
 def cmd_dimension(args) -> int:
-    try:
-        digit_set = tuple(int(c) for c in args.digits)
-    except ValueError:
-        raise ValueError(f"bad digit set {args.digits!r}") from None
+    if not set(args.digits).issubset("0123456789"):  # ASCII only: int() also reads other digits
+        raise ValueError(f"bad digit set {args.digits!r}")
+    digit_set = tuple(map(int, args.digits))
     est = fractal.box_dimension(digit_set, args.nmax)
     # str() of a count past Python's int-to-string limit raises: check before any conversion
     limit = sys.get_int_max_str_digits()  # 0: no limit
@@ -194,15 +199,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_series(args) -> int:
     if args.check is not None:
-        print(json.dumps({
-            "schema": SCHEMA,
-            "kakeya_holds": series.kakeya_check(args.check),
-            "n_checked": args.check,
-        }))
+        print(json.dumps({"schema": SCHEMA, "kakeya_holds": series.kakeya_check(args.check),
+                          "n_checked": args.check}))
         return 0
     bits = series.greedy_approximate(args.greedy, args.nmax)
-    if len(bits) % 3:
-        bits = bits + (0,) * (3 - len(bits) % 3)  # padding leaves the subsum unchanged
+    bits += (0,) * (-len(bits) % 3)  # to a multiple of 3; padding leaves the subsum unchanged
     word = series.eta_subsum_digits(bits)
     # str() of a value past Python's int-to-string limit raises: convert before any output
     row = f"{''.join(map(str, bits))},{''.join(map(str, word))},{digits.word_value(word)}\r\n"
@@ -247,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cdf", help="distribution function enclosures on a grid (CSV)")
     add_probs(sp)
     sp.add_argument("--grid", type=int, default=51, help="number of grid points on [0, 3/2]")
-    sp.add_argument("--tol", type=float, default=1e-4, help="target enclosure width")
+    sp.add_argument("--tol", default="1e-4", help="target enclosure width")
     sp.set_defaults(func=cmd_cdf)
 
     sp = sub.add_parser("charfn", help="characteristic function along a t grid (CSV)")
     add_probs(sp)
-    sp.add_argument("--tmax", type=float, default=50.0)
-    sp.add_argument("--step", type=float, default=0.5)
+    sp.add_argument("--tmax", default="50")
+    sp.add_argument("--step", default="0.5")
     sp.add_argument("--K", type=int, default=40, help="number of product factors")
     sp.set_defaults(func=cmd_charfn)
 
@@ -305,8 +306,7 @@ def main(argv=None) -> int:
         return 1
     except BrokenPipeError:
         # the reader left (`tern4 ... | head`): send what is still buffered to devnull
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -246,8 +246,7 @@ class _Graph(dict):
         q = self.q
         c = min(MAX_DIGIT, 3 * n // q)
         r = 3 * n - c * q
-        edges = self[n] = [(c - 1, r + q), (c, r)] if c and 2 * r <= q else [(c, r)]
-        return edges
+        return self.setdefault(n, [(c - 1, r + q), (c, r)] if c and 2 * r <= q else [(c, r)])
 
 
 def _paths(graph: _Graph, n: int, m: int) -> list[tuple[tuple[int, ...], int]]:
@@ -275,6 +274,7 @@ def _levels(graph, start):
 #: the text of a number from outside: ASCII 'a/b' or a decimal, an optional sign, no whitespace
 _NUMBER = re.compile(r"[-+]?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d{1,4})?)", re.ASCII)
 _SUM_TOL = 1e-12  # accepted drift from 1 of a sum of weights when one of them is inexact
+_WALK_STATES = 2 ** 17  # most states largest_expansion meets before a repeat (1/10**6: 50000)
 
 
 def _fraction(x) -> Fraction:
@@ -288,7 +288,7 @@ def _fraction(x) -> Fraction:
         raise ValueError(f"bad number {x!r}: need ASCII 'a/b' or a decimal with no whitespace")
     try:
         return Fraction(x)
-    except (OverflowError, ValueError, ZeroDivisionError):
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError):
         raise ValueError(f"{x!r} is not a finite number") from None
 
 
@@ -322,18 +322,18 @@ def _largest_walk(n: int, q: int):
 
 
 def largest_expansion(x) -> DigitString:
-    """The lexicographically largest expansion of x in [0, 3/2].
-
-    The largest-digit walk of the residual graph spells this expansion.  Its
-    states are integers in [0, 3q/2] for the denominator q of x, so one
-    repeats, and the digits since its first visit are the repeating block.
-    """
+    """The lexicographically largest expansion of x in [0, 3/2], spelled by the largest-digit walk
+    of the residual graph.  Its states are integers in [0, 3q/2] for the denominator q of x, so
+    one repeats, and the digits since its first visit are the repeating block.  A walk that meets
+    more than `_WALK_STATES` states with no repeat raises ValueError."""
     n, q = _state(x)
     seen, word = {n: 0}, []  # state -> the number of digits read before it
     for c, n in _largest_walk(n, q):
         word.append(c)
         if n in seen:
             break
+        if len(seen) == _WALK_STATES:
+            raise ValueError(f"the largest expansion does not repeat within {_WALK_STATES} digits")
         seen[n] = len(word)
     return DigitString(tuple(word[:seen[n]]), tuple(word[seen[n]:]))
 

@@ -158,6 +158,80 @@ def test_charfn_grid_points_do_not_drift(capsys, tmax, step, rows):
     assert ts[-1] == float(tmax)
 
 
+@pytest.mark.parametrize("tmax,step,rows", [("0.99999999999999", "0.5", 2), ("1e-13", "1e-14", 11),
+                                             ("0", "1e-13", 1), ("1/2", "1/4", 3)])
+def test_charfn_grid_stops_at_tmax(capsys, tmax, step, rows):
+    # the grid is t = j * step for j = 0..floor(tmax / step), the quotient taken exactly from the
+    # texts; a float slack of 1e-12 * max(1, tmax) used to add a point past a tmax near or below it
+    code, out, _ = run(capsys, "charfn", "1/4", "1/4", "1/4", "1/4", "--tmax", tmax, "--step", step, "--K", "10")
+    s = float(Fraction(step))
+    assert code == 0 and [r[0] for r in csv_rows(out)[1:]] == [cli._num(j * s) for j in range(rows)]
+    assert float(csv_rows(out)[-1][0]) <= float(Fraction(tmax))
+
+
+def _grammar_value(text):
+    """The value of an option text under tern4's one grammar, digits._NUMBER, or None."""
+    if not digits._NUMBER.fullmatch(text):
+        return None
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # a/0
+        return None
+
+
+def _positive_float(v) -> bool:
+    try:
+        return float(v) > 0
+    except OverflowError:  # past the float range
+        return False
+
+
+def _code_and_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue()
+
+
+_OPTION_TEXTS = st.text(alphabet="0123456789./eE+-_ ", max_size=7)
+
+
+def _text_examples(test):
+    # "--" reaches the command as [] on Python <= 3.12: argparse drops it from "--tol=--"
+    for text in ("", "-", "--", "-1", "-0", "-e5", " 1", "1 ", "1_0", "1/0", "0/5", "1e-9999", "9e9999",
+                 ".5", "5.", "1e5"):
+        test = example(text)(test)
+    return test
+
+
+@_text_examples
+@given(_OPTION_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_tol_text_exits_0_iff_the_grammar_reads_a_positive_float(text):
+    # "--tol=T", so that a text starting with "-" is the option's value, not an option
+    code, out = _code_and_stdout(["cdf", "1/4", "1/4", "1/4", "1/4", "--grid", "2", f"--tol={text}"])
+    v = _grammar_value(text)
+    assert code in (0, 1)
+    assert (code == 0) == (v is not None and _positive_float(v))
+    assert out == "" if code else out.startswith("x,lo,hi\r\n")
+
+
+@_text_examples
+@given(_OPTION_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_tmax_text_exits_0_iff_the_grammar_reads_a_value_of_at_least_0(text):
+    v = _grammar_value(text)
+    assume(v is None or v <= 100)  # at most 101 rows
+    code, out = _code_and_stdout(["charfn", "1/4", "1/4", "1/4", "1/4", "--step", "1", "--K", "10",
+                                  f"--tmax={text}"])
+    assert code in (0, 1)
+    assert (code == 0) == (v is not None and v >= 0)
+    assert out == "" if code else len(csv_rows(out)) == math.floor(v) + 2  # the header, t = 0..floor(v)
+
+
 @pytest.mark.parametrize("argv", [
     ["cdf", "--tol", "nan"],
     ["charfn", "--K", "0"],
@@ -165,6 +239,15 @@ def test_charfn_grid_points_do_not_drift(capsys, tmax, step, rows):
     ["charfn", "--tmax", "1e22", "--step", "4e21"],  # used to print rows, then fail
     ["cdf", "--grid", "1"],
     ["charfn", "--step", "0"],
+    # the option numbers follow the one grammar of digits._fraction, and must fit a float
+    ["charfn", "--tmax", " 2"],
+    ["charfn", "--step", "1_0"],
+    ["cdf", "--tol", " 1e-4"],
+    ["cdf", "--tol", "1e999"],
+    ["charfn", "--tmax", "infinity"],
+    ["charfn", "--tmax", "1e999"],
+    ["charfn", "--step", "1e-400"],  # a float step of 0.0 would print t = 0 without end
+    ["charfn", "--tmax", "1e300", "--step", "1e-300"],  # 10**600 points: past the float range
 ])
 def test_bad_numeric_argument_rejected_before_output(capsys, argv):
     code, out, err = run(capsys, argv[0], "1/4", "1/4", "1/4", "1/4", *argv[1:])
@@ -196,7 +279,9 @@ def test_dimension_output(capsys):
                                   ["--digits", "013", "--nmax", "1"], ["--digits", "013", "--nmax", "2"],
                                   # 2**15000 has more digits than Python converts to a string
                                   ["--digits", "12", "--nmax", "15000"],
-                                  ["--digits", "0x", "--nmax", "5"]])
+                                  ["--digits", "0x", "--nmax", "5"],
+                                  ["--digits", "\u0660\u0661", "--nmax", "5"],  # Arabic-Indic 01
+                                  ["--digits=--", "--nmax", "5"]])  # [] on Python <= 3.12
 def test_dimension_bad_arguments_exit_1(capsys, argv):
     code, out, err = run(capsys, "dimension", *argv)
     assert code == 1 and out == "" and "error" in err
@@ -255,6 +340,10 @@ def test_numpy_not_imported_by_cli():
     law = ("1/4", "1/4", "1/4", "1/4")
     assert "numpy" not in _imported_modules("-m", "tern4.cli", "charfn", *law, "--tmax", "2", "--step", "1")
     assert "numpy" not in _imported_modules("-m", "tern4.cli", "lbound", *law, "--N", "2")
+    # the census round's commands: numpy's import would take its peak memory from about 19 to 32 MB
+    for argv in (("cdf", *law, "--grid", "51"), ("levelset", "1010(12)"), ("series", "--greedy", "1/2"),
+                 ("classify", *law), ("dimension", "--digits", "013", "--nmax", "12")):
+        assert "numpy" not in _imported_modules("-m", "tern4.cli", *argv), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -350,6 +439,14 @@ def test_repr_of_a_value_is_repr_of_its_largest_expansion(capsys, value, text):
     assert out == run(capsys, "repr", text)[1]
 
 
+def test_repr_of_a_value_with_a_long_period_exits_1_at_once(capsys):
+    # the largest expansion of 1/10**7 repeats after 500000 digits, past digits._WALK_STATES
+    start = time.perf_counter()
+    code, out, err = run(capsys, "repr", "1/10000000")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ("repr", "1010"),                          # a word with no period
     ("levelset", "1010"),
@@ -366,6 +463,7 @@ def test_repr_of_a_value_is_repr_of_its_largest_expansion(capsys, value, text):
     ("repr", "2 / 3"),                         # one grammar for a/b on every Python: ASCII,
     ("repr", "1_0/30"),                        # no underscores, no spaces
     ("repr", "\u0661/\u0663"),                 # Arabic-Indic digits, which Fraction reads as 1/3
+    ("series", "--greedy=--"),                 # argparse gives [] for this text on Python <= 3.12
 ])
 def test_repr_and_levelset_domain_errors_exit_1_before_output(capsys, argv):
     code, out, err = run(capsys, *argv)

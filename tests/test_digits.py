@@ -332,6 +332,13 @@ def test_largest_expansion_is_the_last_admissible_prefix_exhaustive():
         D.largest_expansion(F(8, 5))
 
 
+def test_largest_expansion_refuses_a_walk_past_its_state_cap():
+    # the period grows with q: 50000 digits at 1/10**6, under the cap; 500000 at 1/10**7, past it
+    assert len(D.largest_expansion(F(1, 10 ** 6)).period) == 50000 < D._WALK_STATES
+    with pytest.raises(ValueError, match="does not repeat"):
+        D.largest_expansion(F(1, 10 ** 7))
+
+
 @given(st.fractions(min_value=0, max_value=F(3, 2), max_denominator=200), st.integers(1, 6))
 @settings(max_examples=60)
 def test_prefix_count_matches_listing(x, m):
