@@ -135,11 +135,14 @@ def cmd_lbound(args) -> int:
 def cmd_dimension(args) -> int:
     if not set(args.digits).issubset("0123456789"):  # ASCII only: int() also reads other digits
         raise ValueError(f"bad digit set {args.digits!r}")
-    digit_set = tuple(map(int, args.digits))
-    est = fractal.box_dimension(digit_set, args.nmax)
-    # str() of a count past Python's int-to-string limit raises: check before any conversion
+    digit_set = fractal._checked_digit_set(map(int, args.digits), 3)
+    # str() of a count past Python's int-to-string limit raises: check before any conversion.  Two
+    # digits or more have N(n) >= 2**n cells, so a level with 2**n >= 10**limit is refused uncounted
     limit = sys.get_int_max_str_digits()  # 0: no limit
-    if limit and max(count for _, count in est.counts) >= 10 ** limit:
+    top = 10 ** limit  # made once: a power of 10 with thousands of digits takes tens of microseconds
+    uncounted = limit and len(digit_set) > 1 and args.nmax >= (top - 1).bit_length()
+    est = None if uncounted else fractal.box_dimension(digit_set, args.nmax)
+    if uncounted or limit and max(count for _, count in est.counts) >= top:
         raise ValueError(f"a count has more than {limit} digits, past Python's int-to-string limit "
                          "(sys.set_int_max_str_digits)")
     rows = [f"{n},{count},{_num(math.log(count) / math.log(3))}\r\n" for n, count in est.counts]
@@ -297,6 +300,10 @@ def main(argv=None) -> int:
     args, extra = parser.parse_known_args(argv) if sub is None else sub.parse_known_args(argv[1:])
     if extra:  # as parse_args reports them, under the top-level usage line
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    cmd = sub or parser.commands[args.command]  # Python <= 3.12 reads --K=-- as [], and calls no int
+    for action in cmd._actions:
+        if action.type is int and type(getattr(args, action.dest)) is list:
+            cmd.error(f"argument {action.option_strings[0]}: invalid int value: '--'")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at interpreter exit

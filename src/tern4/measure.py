@@ -197,7 +197,9 @@ def cdf(p: ProbVector, x, tol: float) -> tuple[Fraction, Fraction]:
     the digits of f = n/q keeps r >= 0 and s with F(x) = r . V(f_k) + s after k
     digits; F increases, so lo = s + r1 F(1) and hi = s + r0 F(1) + r1 are F at
     the two depth-k ternary rationals around x.  A repeated remainder closes a
-    period, whose maps give V = P V + beta there: Cramer's rule, lo = hi = F(x).
+    period, whose maps give V = P V + beta there; the rows of [P | beta] are the
+    same digit walk from that remainder, started at the unit rows (1, 0, 0) and
+    (0, 1, 0).  Cramer's rule then gives lo = hi = F(x).
     The pass ends, as all p_c < 1 make F continuous (hi - lo tends to 0) and a
     rational's remainder repeats within q steps.  Integer arithmetic: no rounding.
     This is `cdf_grid` at the single point x.
@@ -223,8 +225,9 @@ def cdf_grid(p: ProbVector, xs, tol: float):
 def _cdf_point(p: ProbVector, tol: float):
     """point(n, q) -> (lo, hi, den), cdf(p, n/q, tol) as (lo/den, hi/den): its digit pass and
     period solve in integers.  D, the integer weights D * p_c, their partial sums, F(1) and the
-    integers of tol are made once, and a bad tolerance raises ValueError at once.  q > 0 need
-    not be reduced: with g = gcd(n, q) each remainder is g times the reduced one, so the
+    integers of tol are made once, and a bad tolerance raises ValueError at once.  The rows of a
+    period's [P | beta] are the walk from the repeated remainder, started at the unit rows.  q > 0
+    need not be reduced: with g = gcd(n, q) each remainder is g times the reduced one, so the
     digits, the repeat positions and the returned integers are the same."""
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -234,9 +237,19 @@ def _cdf_point(p: ProbVector, tol: float):
     below = [sum(w[:j]) for j in range(len(w))]  # below[t] = D * sum_{c <= t-2} p_c
     f1_num, f1_den = w[1] + w[2], D - w[3]  # F(1), and 1 - F(1) = w[4] / f1_den
 
-    def step(r0: int, r1: int, s: int, t: int) -> tuple[int, int, int]:  # D (r A_t, s + r . b_t)
-        return (r0 * w[t + 1] + r1 * w[t + 4], r0 * w[t] + r1 * w[t + 3],
-                s * D + r0 * below[t] + r1 * below[t + 3])
+    def walk(n: int, q: int, r0: int, r1: int, s: int, den: int, tol_num: int):
+        """Read the digits of n/q into (r0, r1, s) -> D (r A_t, s + r . b_t) and den -> D den, until the
+        width (hi - lo) * den meets tol_num / tol_den (then m = None) or a remainder m comes back."""
+        seen = set()
+        while n not in seen:
+            if (r0 * f1_num + r1 * w[4]) * tol_den <= tol_num * den:
+                return r0, r1, s, den, None
+            seen.add(n)
+            t, n = divmod(3 * n, q)
+            r0, r1, s = (r0 * w[t + 1] + r1 * w[t + 4], r0 * w[t] + r1 * w[t + 3],
+                         s * D + r0 * below[t] + r1 * below[t + 3])
+            den *= D
+        return r0, r1, s, den, n
 
     def point(n: int, q: int) -> tuple[int, int, int]:
         if n <= 0:
@@ -245,30 +258,18 @@ def _cdf_point(p: ProbVector, tol: float):
             return 1, 1, 1
         i, n = divmod(n, q)
         # after k digits F(x) = (r0 F(n/q) + r1 F(n/q + 1) + s) / D**k, and den = f1_den * D**k
-        r0, r1, s, den = 1 - i, i, 0, f1_den
-        seen = {}  # remainder -> the step that met it
-        while n not in seen:
-            width = r0 * f1_num + r1 * w[4]  # (hi - lo) * den
-            if width * tol_den <= tol_num * den:
-                lo = s * f1_den + r1 * f1_num
-                return lo, lo + width, den
-            seen[n] = len(seen)
-            t, n = divmod(3 * n, q)  # then `step`, written out in this per-digit loop
-            r0, r1, s = (r0 * w[t + 1] + r1 * w[t + 4], r0 * w[t] + r1 * w[t + 3],
-                         s * D + r0 * below[t] + r1 * below[t + 3])
-            den *= D
-        # n came back after the remainders m met since it: V(n/q) = (P V(n/q) + beta) / E
-        k = seen[n]
-        rows = [(1, 0, 0), (0, 1, 0)]  # the rows of [P | beta], by the same step
-        for m in list(seen)[k:]:
-            rows = [step(*row, 3 * m // q) for row in rows]
-        (a, b, beta0), (c, d, beta1) = rows
-        E = D ** (len(seen) - k)
+        r0, r1, s, den, m = walk(n, q, 1 - i, i, 0, f1_den, tol_num)
+        if m is None:
+            lo = s * f1_den + r1 * f1_num
+            return lo, lo + r0 * f1_num + r1 * w[4], den
+        # m came back after E = D**L: V(m/q) = (P V(m/q) + beta) / E, the rows walked from m
+        a, b, beta0, E, _ = walk(m, q, 1, 0, 0, 1, -1)  # a width >= 0 never meets tol -1
+        c, d, beta1, _, _ = walk(m, q, 0, 1, 0, 1, -1)
         det = (E - a) * (E - d) - b * c  # of E I - P
-        v0 = beta0 * (E - d) + b * beta1  # V(n/q) = (v0, v1) / det
+        v0 = beta0 * (E - d) + b * beta1  # V(m/q) = (v0, v1) / det
         v1 = beta1 * (E - a) + c * beta0
         value = r0 * v0 + r1 * v1 + s * det
-        return value, value, D ** len(seen) * det
+        return value, value, den // f1_den * det
 
     return point
 
@@ -349,19 +350,15 @@ def charfn_grid(p: ProbVector, ts, K: int):
     """
     if K < 1:
         raise ValueError("K must be positive")
-    return _charfn_points(p, ts, K)
-
-
-def _charfn_points(p: ProbVector, ts, K: int):
     p0, p1, p2, p3 = (float(v) for v in p.probs)
     powers = [3.0 ** -k for k in range(1, K + 1)]
     tail = powers[-1]
     rounding = 16 * K * _FLOAT_EPS
-    for t in ts:
+
+    def point(t) -> CharfnResult:
         growth = truncation_growth(t, K)
         if t == 0:
-            yield CharfnResult(1 + 0j, 0.0)
-            continue
+            return CharfnResult(1 + 0j, 0.0)
         vr, vi = 1.0, 0.0
         for s in powers:  # factor k, with s = 3.0**-k
             w = t * s
@@ -373,7 +370,9 @@ def _charfn_points(p: ProbVector, ts, K: int):
         value = complex(vr, vi)
         truncation = abs(value) * growth
         phase = 8 * _FLOAT_EPS * abs(t) * (1 - tail) / 2
-        yield CharfnResult(value, truncation + phase + rounding)
+        return CharfnResult(value, truncation + phase + rounding)
+
+    return map(point, ts)
 
 
 def limsup_lower_bound(p: ProbVector, N: int, K: int = 40) -> float:

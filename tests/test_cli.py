@@ -303,6 +303,39 @@ def test_dimension_count_too_long_to_print_fails_before_output(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("argv", [["--digits", "12", "--nmax", "1000000000"],
+                                  ["--digits", "0123", "--nmax", "1000000"]])
+def test_dimension_count_too_long_to_print_fails_before_counting(capsys, argv):
+    # two digits or more have N(n) >= 2**n cells: a level past the limit is refused uncounted
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dimension", *argv)
+        assert code == 1 and out == "" and "4300 digits" in err
+        assert time.perf_counter() - start < 1.0
+        code, out, _ = run(capsys, "dimension", "--digits", "2", "--nmax", "20000")  # N(n) = 1
+        assert code == 0 and len(out.splitlines()) == 20002
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_LAW = ("1/4", "1/4", "1/4", "1/4")
+
+
+@pytest.mark.parametrize("argv", [["repr", "1010(12)", "--depth=--"], ["levelset", "1010(12)", "--depth=--"],
+                                  ["cdf", *_LAW, "--grid=--"], ["charfn", *_LAW, "--K=--"],
+                                  ["lbound", *_LAW, "--N=--"], ["lbound", *_LAW, "--K=--"],
+                                  ["dimension", "--digits", "12", "--nmax=--"],
+                                  ["series", "--greedy", "1/2", "--nmax=--"], ["series", "--check=--"]])
+def test_an_integer_option_read_as_dashes_is_a_usage_error(capsys, argv):
+    # Python <= 3.12 stores [] for --K=-- and calls no int; 3.13 refuses it as an invalid int
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "invalid int value: '--'" in err
+
+
 _DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
 #: where repr's layout leaves %.15g's: whole numbers, [1e15, 1e16), subnormals, the ends of the range
 _LAYOUT_EDGES = [0.0, -0.0, 1.0, -3.0, 0.5, 1e-4, 9.99999999999999e-5, 1e-5, 1e14, 123456789012345.0,

@@ -719,6 +719,19 @@ def test_cdf_exact_at_rationals_against_elimination_oracle():
             assert lo == hi == exact[x], (vals, x, lo, hi, exact[x])
 
 
+@pytest.mark.parametrize("tol", [0.5, 1e-2])
+def test_cdf_brackets_the_oracle_under_a_coarse_tolerance(tol):
+    # a bracket holds F and meets tol; a closed period is solved whatever tol is, so lo == hi is F
+    points = sorted({F(m, q) for q in range(1, 61) for m in range(3 * q // 2 + 1)})
+    for vals in _EXHAUSTIVE_LAWS:
+        p = pv(*vals)
+        exact = _cdf_by_elimination(p.probs, points)
+        for x in points:
+            lo, hi = M.cdf(p, x, tol)
+            assert lo <= exact[x] <= hi and hi - lo <= tol, (vals, x, lo, hi, exact[x])
+            assert lo != hi or lo == exact[x]
+
+
 def test_cdf_grid_equals_cdf_bit_for_bit():
     # the bench grid, random rationals (some outside [0, 3/2]) and random floats, each law
     rng = random.Random(23)
