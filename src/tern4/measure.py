@@ -11,6 +11,7 @@ bound, and produces the convolution decompositions.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -125,7 +126,7 @@ def classify(p: ProbVector) -> DistributionClass:
 # ---------------------------------------------------------------------------
 # sampling
 
-_BLOCK = 8192  # uniforms per block of draws: the sampler's buffers stay in cache
+_BLOCK = 8192  # entries per block of draws and per charfn tile: the buffers stay in cache
 
 
 def _draw_blocks(weights, count: int, depth: int, seed: int):
@@ -296,8 +297,11 @@ def charfn(p: ProbVector, t: float, K: int) -> CharfnResult:
     float parts, with the float operations of the complex products and sums
     (a float p_m is the complex (p_m, 0), whose zero terms can change only
     the sign of a zero), so it rounds as complex arithmetic does and the
-    analysis below holds for it.  The bound on |true - value| has three
-    parts; eps is the machine epsilon.
+    analysis below holds for it.  This is `charfn_grid` at the single t: a
+    numpy kernel over tiles of k x t that keeps the real and imaginary parts
+    in separate float64 arrays, as numpy's complex128 multiply fuses its
+    products and would round differently.  The bound on |true - value| has
+    three parts; eps is the machine epsilon.
 
     - Truncation: the omitted factors differ from 1 by at most 3|t|*3**-k
       each, so their product differs from 1 by at most expm1(1.5|t|*3**-K).
@@ -311,13 +315,15 @@ def charfn(p: ProbVector, t: float, K: int) -> CharfnResult:
       add up in the product; 8 in place of 6.05 leaves room for those ulps:
       8*eps*|t|*sum_{k<=K} 3**-k.
     - Arithmetic rounding, per factor: cos and sin are each within one ulp,
-      at most eps, so the computed z is within sqrt(2)*eps of exp(iw), which
-      P' carries into the factor as at most 4.3*eps; rounding p to floats
-      adds 0.51*eps; Horner's three complex products (each within
-      sqrt(5)*eps/2 times the product of the moduli, which stay below
-      1 + 7*eps) and three additions (eps/2 of the real part each) add at
-      most 4.9*eps; and the step of the running product adds 1.12*eps.  That
-      is under 11*eps per factor, and 16*K*eps covers it.
+      at most eps (np.cos and np.sin, which the tests check bit for bit
+      against math.cos and math.sin), so the computed z is within
+      sqrt(2)*eps of exp(iw), which P' carries into the factor as at most
+      4.3*eps; rounding p to floats adds 0.51*eps; Horner's three complex
+      products (each within sqrt(5)*eps/2 times the product of the moduli,
+      which stay below 1 + 7*eps) and three additions (eps/2 of the real
+      part each) add at most 4.9*eps; and the step of the running product
+      adds 1.12*eps.  That is under 11*eps per factor, and 16*K*eps covers
+      it.
 
     The first two grow with |t|; with K = 40 the phase part is the largest
     from about |t| = 160 on.
@@ -343,36 +349,75 @@ def truncation_growth(t: float, K: int) -> float:
 def charfn_grid(p: ProbVector, ts, K: int):
     """Iterator of charfn(p, t, K) for each t of `ts` in turn, bit for bit.
 
-    The floats of p and the powers 3.0**-k are made once for the whole grid;
-    each t gets the same checks, Horner steps and bound terms, in the same
-    order, as one call of charfn.  A bad K raises ValueError at once, and a t
-    that charfn refuses raises ValueError when the grid reaches it.
+    The t's are read lazily, at most _BLOCK / 8 at a time, and each is
+    checked by `truncation_growth` as it is read.  A chunk of n t's is
+    evaluated in tiles of k x t, _BLOCK // n powers 3.0**-k (Python's float
+    power, which np.power need not match) by the n t's, so no array holds
+    more than _BLOCK entries, whatever K and the length of the grid: each
+    tile takes w = s*t, np.cos and np.sin, and the three Horner steps at
+    once, and the running product then takes the tile's factors row by row
+    down k.  Every step is the float operation of charfn's loop on separate
+    real and imaginary float64 arrays, in the same order; numpy's complex128
+    multiply fuses the products (FMA) and rounds differently, and np.prod
+    would reorder them.  The values, the t == 0 case and the bounds are
+    finished per t in Python.  charfn's bound takes cos and sin within one
+    ulp: the tests hold this kernel bit for bit to a scalar loop on math.cos
+    and math.sin, which checks that premise for np.cos and np.sin.
+
+    A bad K raises ValueError at once, and a t that charfn refuses raises
+    ValueError when the grid reaches it, after the results of the t's
+    before it.
     """
     if K < 1:
         raise ValueError("K must be positive")
-    p0, p1, p2, p3 = (float(v) for v in p.probs)
-    powers = [3.0 ** -k for k in range(1, K + 1)]
-    tail = powers[-1]
-    rounding = 16 * K * _FLOAT_EPS
+    import numpy as np  # imported here so that the rest of tern4 starts without numpy
 
-    def point(t) -> CharfnResult:
-        growth = truncation_growth(t, K)
-        if t == 0:
-            return CharfnResult(1 + 0j, 0.0)
-        vr, vi = 1.0, 0.0
-        for s in powers:  # factor k, with s = 3.0**-k
-            w = t * s
-            x, y = math.cos(w), math.sin(w)
+    p0, p1, p2, p3 = (float(v) for v in p.probs)
+    tail = 3.0 ** -K
+    rounding = 16 * K * _FLOAT_EPS
+    width = _BLOCK // 8  # t's per chunk
+    it = iter(ts)
+
+    def products(chunk) -> tuple[list, list]:
+        """Real and imaginary parts of the truncated products at the t's of `chunk`."""
+        t = np.array([float(x) for x in chunk])
+        vr, vi = np.ones(len(t)), np.zeros(len(t))
+        rows = _BLOCK // len(t)
+        for k0 in range(1, K + 1, rows):  # the tile of factors k0 .. k0 + rows - 1
+            s = np.array([3.0 ** -k for k in range(k0, min(k0 + rows, K + 1))])
+            w = s[:, None] * t
+            x, y = np.cos(w), np.sin(w)
             ar, ai = p3 * x + p2, p3 * y  # Horner in real parts, as complex arithmetic rounds it
             ar, ai = ar * x - ai * y + p1, ar * y + ai * x
             ar, ai = ar * x - ai * y + p0, ar * y + ai * x
-            vr, vi = vr * ar - vi * ai, vr * ai + vi * ar
-        value = complex(vr, vi)
-        truncation = abs(value) * growth
-        phase = 8 * _FLOAT_EPS * abs(t) * (1 - tail) / 2
-        return CharfnResult(value, truncation + phase + rounding)
+            for a, b in zip(ar, ai):
+                vr, vi = vr * a - vi * b, vr * b + vi * a
+        return vr.tolist(), vi.tolist()
 
-    return map(point, ts)
+    def grid():
+        while True:
+            chunk, growths, error = [], [], None
+            try:
+                for t in itertools.islice(it, width):
+                    growths.append(truncation_growth(t, K))
+                    chunk.append(t)
+            except Exception as exc:  # raised once the results of the t's before it are out
+                error = exc
+            if chunk:
+                for t, growth, vr, vi in zip(chunk, growths, *products(chunk)):
+                    if t == 0:
+                        yield CharfnResult(1 + 0j, 0.0)
+                        continue
+                    value = complex(vr, vi)
+                    truncation = abs(value) * growth
+                    phase = 8 * _FLOAT_EPS * abs(t) * (1 - tail) / 2
+                    yield CharfnResult(value, truncation + phase + rounding)
+            if error is not None:
+                raise error
+            if len(chunk) < width:
+                return
+
+    return grid()
 
 
 def limsup_lower_bound(p: ProbVector, N: int, K: int = 40) -> float:

@@ -367,16 +367,27 @@ def _imported_modules(*args):
 
 
 def test_numpy_not_imported_by_cli():
-    # only the samplers need numpy; everything else starts without it
-    assert "numpy" not in _imported_modules("-c", "import tern4, tern4.cli")
-    assert "numpy" not in _imported_modules("-m", "tern4.cli", "repr", "1010(12)")
+    # numpy is imported by the samplers and the charfn kernel only, so tern4 and every other
+    # subcommand start without it; the census round's commands would take their peak memory from
+    # about 19 to 32 MB with it.  Every subcommand of the parser is run here.
+    assert "numpy" not in _imported_modules("-c", "import tern4, tern4.cli, tern4.measure")
     law = ("1/4", "1/4", "1/4", "1/4")
-    assert "numpy" not in _imported_modules("-m", "tern4.cli", "charfn", *law, "--tmax", "2", "--step", "1")
-    assert "numpy" not in _imported_modules("-m", "tern4.cli", "lbound", *law, "--N", "2")
-    # the census round's commands: numpy's import would take its peak memory from about 19 to 32 MB
-    for argv in (("cdf", *law, "--grid", "51"), ("levelset", "1010(12)"), ("series", "--greedy", "1/2"),
-                 ("classify", *law), ("dimension", "--digits", "013", "--nmax", "12")):
-        assert "numpy" not in _imported_modules("-m", "tern4.cli", *argv), argv
+    runs = {
+        "repr": [("1010(12)",)],
+        "classify": [law],
+        "cdf": [(*law, "--grid", "51")],
+        "charfn": [(*law, "--tmax", "2", "--step", "1")],
+        "lbound": [(*law, "--N", "2")],
+        "dimension": [("--digits", "013", "--nmax", "12")],
+        "levelset": [("1010(12)",)],
+        "decompose": [law],
+        "series": [("--greedy", "1/2"), ("--check", "20")],
+    }
+    assert set(runs) == set(cli.build_parser().commands)
+    for command, argvs in runs.items():
+        for argv in argvs:
+            imported = "numpy" in _imported_modules("-m", "tern4.cli", command, *argv)
+            assert imported == (command in ("charfn", "lbound")), (command, argv)
 
 
 @pytest.mark.parametrize("argv", [

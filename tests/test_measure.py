@@ -383,6 +383,52 @@ def test_charfn_grid_refuses_k_below_one_when_called(K):
         M.charfn_grid(pv("1/4", "1/4", "1/4", "1/4"), iter([math.nan]), K)
 
 
+@pytest.mark.parametrize("n, K", [(1023, 40), (1024, 40), (1025, 40), (101, 1000), (1, 9000)])
+def test_charfn_grid_tiles_match_the_scalar_loop(monkeypatch, n, K):
+    # chunks of 1024 t's, each in tiles of 8192 // n powers by n t's: one chunk and a one-t
+    # second chunk, and k-tiles of 8, 81 and 8192 rows with a shorter last one; np.cos and
+    # np.sin must round as math.cos and math.sin do, and no tile may pass _BLOCK entries
+    sizes = []
+    for name in ("cos", "sin"):
+        f = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda w, f=f: sizes.append(w.size) or f(w))
+    p = ProbVector.parse(("0.1", "0.2", "0.3", "0.4"))
+    ts = [0.05 * j * (-1) ** j for j in range(n - 1)] + [1e6]
+    grid = [_bits(r.value, r.tail_bound) for r in M.charfn_grid(p, ts, K)]
+    assert grid == [_bits(*_charfn_one(p, t, K)) for t in ts]
+    assert 0 < max(sizes) <= M._BLOCK
+
+
+def test_charfn_grid_refuses_a_bad_t_after_the_chunk_before_it():
+    p = pv("1/4", "1/4", "1/4", "1/4")
+    read = []
+    ts = itertools.chain([0.5 * j for j in range(1024)], [math.nan], map(read.append, [2.0]))
+    grid = M.charfn_grid(p, ts, 40)
+    assert len(list(itertools.islice(grid, 1024))) == 1024
+    with pytest.raises(ValueError, match="t must be finite"):
+        next(grid)
+    assert read == []  # nothing past the bad t was read
+
+
+def test_charfn_grid_reads_an_endless_sequence_lazily():
+    p = pv("1/6", "1/3", "1/3", "1/6")
+    assert next(M.charfn_grid(p, itertools.count(1), 40)) == M.charfn(p, 1, 40)
+
+
+def test_charfn_grid_memory_is_bounded_in_k():
+    import tracemalloc
+
+    p = pv("1/4", "1/4", "1/4", "1/4")
+    list(M.charfn_grid(p, [1.0], 10))  # numpy's own first-use allocations are not the grid's
+    tracemalloc.start()
+    try:
+        list(M.charfn_grid(p, [1.0], 2 * 10 ** 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6  # a list of the 2 * 10**5 powers alone takes 6.4 MB
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e300, -1e300])
 def test_truncation_growth_refuses_what_charfn_refuses(t):
     with pytest.raises(ValueError):
