@@ -73,9 +73,11 @@ class DigitString:
             if not per:
                 raise ValueError("period must be non-empty when present")
             per = _primitive_root(per)
-            while pre and pre[-1] == per[-1]:
-                per = (per[-1],) + per[:-1]
-                pre = pre[:-1]
+            if pre and pre[-1] == per[-1]:  # drop the k last digits, which run the block backwards
+                lap = (bytes(per) * (len(pre) // len(per) + 1))[-len(pre):]
+                x = int.from_bytes(bytes(pre), "big") ^ int.from_bytes(lap, "big")
+                k = ((x & -x).bit_length() - 1) // 8 if x else len(pre)  # the zero bytes at x's low end
+                pre, per = pre[:len(pre) - k], per[-k % len(per):] + per[:-k % len(per)]
         if not pre and per is None:
             raise ValueError("digit string needs at least one digit")
         object.__setattr__(self, "preperiod", pre)
@@ -250,17 +252,32 @@ class _Graph(dict):
 
 
 def _paths(graph: _Graph, n: int, m: int) -> list[tuple[tuple[int, ...], int]]:
-    """Each length-m path from state n as (digit word, end state), in lexicographic order."""
-    level = [((), n)]
-    for _ in range(m):
-        level = [(w + (c,), t) for w, s in level for c, t in graph[s]]
-    return level
+    """Each length-m path from state n as (digit word, end state), in lexicographic order, spelled once
+    each by one depth-first walk.  More than `_WALK_STATES` paths (at most 2**m, so counted only
+    past that) raise ValueError first."""
+    if 2 ** m > _WALK_STATES < sum(next(itertools.islice(_levels(graph, n), m, None)).values()):
+        raise ValueError(f"more than {_WALK_STATES} paths of length {m} to list")
+    found, word, todo, s = [], [], [], n
+    while True:
+        while len(word) < m:  # follow the smaller digit, keep the other edge for later
+            edges = graph[s]
+            if len(edges) > 1:
+                todo.append((len(word), edges[1]))
+            c, s = edges[0]
+            word.append(c)
+        found.append((tuple(word), s))
+        if not todo:
+            return found
+        k, (c, s) = todo.pop()
+        del word[k:]
+        word.append(c)
 
 
-def _levels(graph, start):
+def _levels(graph, start, cap=None):
     """Path counts one level at a time, without end: for k = 0, 1, ... the number of
     length-k paths from `start` to each state they reach.  `graph` maps a state to its
-    edges [(label, next state)]; a state with no edges ends its paths."""
+    edges [(label, next state)]; a state with no edges ends its paths.  Counts above
+    `cap`, when given, are cut to it, so they stay small where exact ones would not."""
     level = {start: 1}
     while True:
         yield level
@@ -268,13 +285,13 @@ def _levels(graph, start):
         for s, k in level.items():
             for _, t in graph[s]:
                 nxt[t] = nxt.get(t, 0) + k
-        level = nxt
+        level = nxt if cap is None else {t: min(k, cap) for t, k in nxt.items()}
 
 
 #: the text of a number from outside: ASCII 'a/b' or a decimal, an optional sign, no whitespace
 _NUMBER = re.compile(r"[-+]?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d{1,4})?)", re.ASCII)
 _SUM_TOL = 1e-12  # accepted drift from 1 of a sum of weights when one of them is inexact
-_WALK_STATES = 2 ** 17  # most states largest_expansion meets before a repeat (1/10**6: 50000)
+_WALK_STATES = 2 ** 17  # most states largest_expansion walks (1/10**6: 50000), most paths a listing spells
 
 
 def _fraction(x) -> Fraction:
@@ -383,13 +400,13 @@ class ReprCardinality:
 def classify_cardinality(d: DigitString) -> ReprCardinality:
     """Decide whether the value of d has one, finitely, countably or continuum many expansions.
 
-    The census is decided exactly from the residual graph of the value, whose
-    infinite paths are its expansions.  Its states, 3**k * x less an integer,
-    number at most 2 * (len(preperiod) + len(period)).  One iterative Tarjan
-    pass finds the strongly connected components: one with more internal
-    edges than states holds two cycles, a continuum; a cycle with an edge out
-    of it gives countably many; otherwise the paths into the (terminal) cycles
-    are counted: one is unique, more are finitely many.
+    The census is decided exactly from the residual graph of the value, whose infinite
+    paths are its expansions.  Its states at depth k are f = frac(3**k * x) and f + 1,
+    which repeat with the ternary period L of x from its preperiod P on.  So every cycle
+    runs through the one or two states at depth P, and M, the length-L path counts
+    between them, decides: a state with two closed walks in M^2 is on two cycles, a
+    continuum; more paths of length P + 2L than of P + L leave a cycle, countably many;
+    else the paths of length P + L are the expansions: one is unique, more finitely many.
     """
     return _census(d)[0]
 
@@ -400,62 +417,44 @@ def _census(d: DigitString) -> tuple[ReprCardinality, Callable[[int], list[Digit
     if d.period is None:
         raise ValueError("classification needs an eventually periodic digit string")
     n0, q = _state(evaluate(d))
-    index, low, stack = {n0: 0}, {n0: 0}, [n0]
-    paths: dict[int, int] = {}  # infinite paths from each state of a finished component
-    blocks: dict[int, tuple[int, ...]] = {}  # the digit block of each cycle state
-    exits, card = False, None
     graph = _Graph(q)
-    work = [(n0, iter(graph[n0]))]
-    while work:
-        v, edges = work[-1]
-        for _, w in edges:
-            if w not in index:
-                index[w] = low[w] = len(index)
-                stack.append(w)
-                work.append((w, iter(graph[w])))
-                break
-            if w not in paths:  # still on the stack
-                low[v] = min(low[v], index[w])
-        else:
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] != index[v]:
-                continue
-            if stack[-1] == v and all(w != v for _, w in graph[v]):  # one state, no loop
-                stack.pop()  # its successors are all finished
-                paths[v] = sum(paths[w] for _, w in graph[v])
-                continue
-            i = len(stack) - 1
-            while stack[i] != v:
-                i -= 1
-            comp = stack[i:]
-            del stack[i:]
-            out = {u: graph[u] for u in comp}
-            inner = {u: [(c, w) for c, w in out[u] if w in out] for u in comp}
-            if sum(map(len, inner.values())) > len(comp):
-                card = ReprCardinality(Cardinality.CONTINUUM)
-                break
-            # a simple cycle, or one state with a loop: read its block from v, then rotate it per state
-            exits = exits or any(len(e) > 1 for e in out.values())
-            ring, word, u = [], [], v
-            for _ in comp:
-                ring.append(u)
-                c, u = inner[u][0]
-                word.append(c)
-            for i, u in enumerate(ring):
-                paths[u], blocks[u] = 1, tuple(word[i:] + word[:i])
-    if card is None:
-        card = (ReprCardinality(Cardinality.COUNTABLE) if exits
-                else ReprCardinality(Cardinality.UNIQUE) if paths[n0] == 1
-                else ReprCardinality(Cardinality.FINITE, paths[n0]))
+    # The states at depth k are r = 3**k * n0 mod q (lower) and r + q (upper); with q = 3**P * q' and
+    # q' prime to 3 the remainders repeat from k = P on.  r -> 3r mod q, of digit 3r // q, is always an
+    # edge, so the lower states make a cycle.
+    P = next(k for k in itertools.count() if q % 3 ** (k + 1))
+    lo = r = 3 ** P * n0 % q
+    block = []  # the lower cycle's digits from lo
+    while r != lo or not block:
+        c, r = divmod(3 * r, q)
+        block.append(c)
+    L = len(block)
+    window = next(itertools.islice(_levels(graph, n0), P, None))  # the paths of length P, by end state
+    # M[h][t]: the length-L paths from state h to t at depth P, for the states reached, cut at 2.  Short
+    # of a continuum each is 0 or 1: a run of upper states is entered from the lower cycle and, short of
+    # the whole period, left back to it, so two paths would make two cycles.
+    def row(h):
+        return next(itertools.islice(_levels(graph, h, 2), L, None))
+    M = {h: row(h) for h in window}
+    M |= {t: row(t) for h in window for t in M[h] if t not in M}
+    cycles = []  # (0 or q, block) of each cycle: the lower or the upper states
+    if any(sum(k * M[t].get(h, 0) for t, k in M[h].items()) > 1 for h in M):
+        card = ReprCardinality(Cardinality.CONTINUUM)
+    else:
+        once = sum(k * sum(M[h].values()) for h, k in window.items())  # the paths of length P + L
+        twice = sum(k * j * sum(M[t].values()) for h, k in window.items() for t, j in M[h].items())
+        card = (ReprCardinality(Cardinality.COUNTABLE) if twice > once
+                else ReprCardinality(Cardinality.UNIQUE) if once == 1
+                else ReprCardinality(Cardinality.FINITE, once))
+        # an upper state's cycle never meets a lower state, which would put it beside the lower cycle
+        cycles = [(h - lo, tuple(c + 2 * (h > lo) for c in block)) for h in M if M[h].get(h)]
 
     def expand(m: int) -> list[DigitString]:
         if card.kind is Cardinality.CONTINUUM:
             raise ValueError("continuum many expansions; enumeration refused")
         if m < len(d.preperiod):
             raise ValueError("depth must cover the preperiod")
+        i = (m - P) % L  # a path of length m ends on a cycle at the cycle's i-th state
+        blocks = {pow(3, i, q) * lo % q + up: word[i:] + word[:i] for up, word in cycles}
         found = [DigitString(w, blocks[s]) for w, s in _paths(graph, n0, m) if s in blocks]
         return sorted(found, key=lambda r: (len(r.preperiod), r.preperiod, r.period))
 

@@ -508,9 +508,15 @@ def test_repr_of_a_value_with_a_long_period_exits_1_at_once(capsys):
     ("repr", "1_0/30"),                        # no underscores, no spaces
     ("repr", "\u0661/\u0663"),                 # Arabic-Indic digits, which Fraction reads as 1/3
     ("series", "--greedy=--"),                 # argparse gives [] for this text on Python <= 3.12
+    ("repr", "0303030303030303030303030303030303(12)"),  # 3,524,578 expansions: too many to list
+    ("levelset", "0303030303030303030303030303030303(12)"),
+    ("repr", "03" * 100 + "(12)"),             # about 4.5e41 expansions
+    ("levelset", "03" * 13 + "(12)"),          # 196,418, the first past digits._WALK_STATES
 ])
 def test_repr_and_levelset_domain_errors_exit_1_before_output(capsys, argv):
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
@@ -664,6 +670,16 @@ PINNED_STDOUT = [
     (("charfn", "1/4", "1/4", "1/4", "1/4", "--tmax", "3e15", "--step", "1e15", "--K", "60"),
      "663875086ccd26f98a62cc2db5b14a90db77917e"),  # prints 1000000000000000.0
     (("cdf", "1/4", "1/4", "1/4", "1/4", "--grid", "2", "--tol", "1e-300"), "321bbdeb3e6dedc6e3559b5f0f871fb0470c7c7b"),
+    # the census at longer periods and larger listings; no canonical string of period 3 is countable
+    (("repr", "0310(2)"), "c08134e9c866791a0a902e13e8238f94002faff4"),       # countable
+    (("levelset", "0310(2)"), "4355c005853c4ffcff21201f1c6d9bb64d425921"),
+    (("repr", "(112)"), "a1d85cffae0889703b252f5220e9d550627deee3"),         # unique, period 3
+    (("levelset", "(112)"), "db76df4f71a3cca33d36a65bbad7d7e8fd3fa392"),
+    (("repr", "10(112)"), "996d1bf82041951b651ee55bb37266462f2362ea"),       # finite, period 3
+    (("levelset", "10(112)"), "20ae8f0f6f4c276a1c40e3fd904a3106c5beaa1e"),
+    (("repr", "1/1000"), "5781003455b131f8a3c43dd2c29ce45734bbdd73"),        # continuum, period 100
+    (("repr", "03" * 8 + "(12)"), "09c50c290813426befdc7ccf094a0b77fb067aa9"),  # 1,597 members
+    (("levelset", "03" * 8 + "(12)"), "31ff45b7fd17d2ed4cc5a2b1edd94fa848c1dd5b"),
 ]
 
 

@@ -1,8 +1,11 @@
 """Exact-arithmetic tests for digit strings, rewrites, cylinders and expansion counts."""
 
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -463,23 +466,109 @@ def test_classify_long_preperiod():
     assert reps == {str(D.parse(s)) for s in _residual_graph_expansions(D.evaluate(d))}
 
 
-def test_census_against_fraction_oracle_exhaustive():
-    # every string with preperiod <= 3 and period <= 2; the oracle lists the
-    # expansions when they are finitely many and fails on a cycle with an exit.
-    # For so short a period the graph has two cycles in one component exactly
-    # when the block holds a rewritable pair in cyclic reading.
-    words = [w for n in range(4) for w in product(range(4), repeat=n)]
-    for d in {DigitString(pre, per) for pre in words for per in words if 1 <= len(per) <= 2}:
-        card = D.classify_cardinality(d)
-        try:
-            expected = {str(D.parse(s)) for s in _residual_graph_expansions(D.evaluate(d))}
-        except AssertionError:
-            per = d.period
-            rewritable = any((per[j], per[(j + 1) % len(per)]) in D.REWRITES for j in range(len(per)))
-            assert card.kind is (Cardinality.CONTINUUM if rewritable else Cardinality.COUNTABLE), d
-            continue
-        n = len(expected)
-        assert card == (ReprCardinality(Cardinality.UNIQUE) if n == 1
-                        else ReprCardinality(Cardinality.FINITE, n)), d
+def _fraction_census(x):
+    """The census of x read from its residual graph over Fractions by components, apart from the
+    library: (kind, expansions listed by the path oracle, or None past finitely many).  A state's
+    component is the states it reaches that reach it back: one with more edges than states holds
+    two cycles, a continuum; a cycle with an edge out of it gives countably many."""
+    ids, succ, todo = {x: 0}, [], [x]  # the states numbered as met, and their successors' numbers
+    for y in todo:
+        succ.append([])
+        for z in (3 * y - c for c in range(4)):
+            if 0 <= z <= HALF_WIDTH:
+                if z not in ids:
+                    ids[z] = len(todo)
+                    todo.append(z)
+                succ[-1].append(ids[z])
+    reach = []  # the states each state reaches in one step or more
+    for y in range(len(succ)):
+        seen, stack = set(), list(succ[y])
+        while stack:
+            z = stack.pop()
+            if z not in seen:
+                seen.add(z)
+                stack += succ[z]
+        reach.append(seen)
+    comps = {frozenset(z for z in reach[y] if y in reach[z]) for y in range(len(succ)) if y in reach[y]}
+    if any(sum(z in comp for y in comp for z in succ[y]) > len(comp) for comp in comps):
+        return Cardinality.CONTINUUM, None
+    if any(len(succ[y]) > 1 for comp in comps for y in comp):
+        return Cardinality.COUNTABLE, None
+    found = {str(D.parse(s)) for s in _residual_graph_expansions(x)}
+    return (Cardinality.UNIQUE if len(found) == 1 else Cardinality.FINITE), found
+
+
+def _census_agrees_with_fraction_oracle(d):
+    kind, expected = _fraction_census(D.evaluate(d))
+    card = D.classify_cardinality(d)
+    assert card.kind is kind, d
+    if expected is not None:
+        assert card.count == (len(expected) if kind is Cardinality.FINITE else None), d
         m = max(len(d.preperiod), *(len(D.parse(s).preperiod) for s in expected))
         assert {str(r) for r in D.enumerate_representations(d, m)} == expected, d
+    return kind
+
+
+def test_census_against_fraction_oracle_exhaustive():
+    # every canonical string with preperiod <= 3 and period <= 3, against a decider of all
+    # four classes that shares no code with the library's window census
+    words = [w for n in range(4) for w in product(range(4), repeat=n)]
+    strings = {DigitString(pre, per) for pre in words for per in words if per}
+    kinds = Counter(map(_census_agrees_with_fraction_oracle, strings))
+    assert len(strings) == 4864
+    assert kinds == {Cardinality.UNIQUE: 178, Cardinality.FINITE: 336,
+                     Cardinality.COUNTABLE: 254, Cardinality.CONTINUUM: 4096}
+
+
+def test_census_of_largest_expansions_against_fraction_oracle():
+    values = {F(a, q) for q in range(1, 61) for a in range(3 * q // 2 + 1) if gcd(a, q) == 1}
+    assert len(values) == 1654
+    for x in values:
+        _census_agrees_with_fraction_oracle(D.largest_expansion(x))
+
+
+def test_listing_refuses_more_paths_than_the_ceiling_at_once():
+    # "03" * k + "(12)" has Fibonacci many expansions: 75,025 at k = 12, 196,418 at k = 13,
+    # and about 4.5e41 at k = 100; each is refused before a word is spelled
+    start = time.perf_counter()
+    assert D.count_expansion_prefixes(D.evaluate(D.parse("03" * 12 + "(12)")), 30) <= D._WALK_STATES
+    for k in (13, 100):
+        d = D.parse("03" * k + "(12)")
+        with pytest.raises(ValueError, match="paths"):
+            D.enumerate_representations(d, len(d.preperiod) + 6)
+        with pytest.raises(ValueError, match="paths"):
+            D.admissible_prefixes(D.evaluate(d), len(d.preperiod) + 6)
+    assert time.perf_counter() - start < 1
+
+
+def test_listing_ceiling_is_exact(monkeypatch):
+    # from 1/2 there are k + 1 prefixes of length k
+    monkeypatch.setattr(D, "_WALK_STATES", 5)
+    assert len(D.admissible_prefixes(F(1, 2), 4)) == 5
+    with pytest.raises(ValueError):
+        D.admissible_prefixes(F(1, 2), 5)
+
+
+def test_listing_a_long_countable_census_is_not_cubic():
+    # 1^600 0(3) is 1/2, whose expansions are (1) and 1^k 0(3): at depth 606 the paths share
+    # their prefixes, and each canonical form drops a run of up to 606 trailing digits
+    start = time.perf_counter()
+    d = D.parse("1" * 600 + "0(3)")
+    reps = D.enumerate_representations(d, 606)
+    assert time.perf_counter() - start < 1
+    assert len(reps) == 607 and d in reps
+    assert len(set(reps)) == len(reps) and all(D.evaluate(r) == D.evaluate(d) for r in reps)
+
+
+def test_canonical_form_against_the_one_digit_rotation():
+    # the preperiod's trailing run is dropped in one slice: the same as rotating it into the block
+    # one digit at a time
+    rng = random.Random(3)
+    for _ in range(3000):
+        per = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 6)))
+        pre = (tuple(rng.randrange(4) for _ in range(rng.randrange(4)))
+               + per * rng.randrange(4) + per[rng.randrange(len(per)):])
+        want_pre, want_per = pre, next(per[:n] for n in range(1, 6) if per[:n] * (len(per) // n) == per)
+        while want_pre and want_pre[-1] == want_per[-1]:
+            want_pre, want_per = want_pre[:-1], (want_per[-1],) + want_per[:-1]
+        assert (DigitString(pre, per).preperiod, DigitString(pre, per).period) == (want_pre, want_per)
