@@ -126,7 +126,18 @@ def classify(p: ProbVector) -> DistributionClass:
 # ---------------------------------------------------------------------------
 # sampling
 
-_BLOCK = 8192  # entries per block of draws and per charfn tile: the buffers stay in cache
+_BLOCK = 8192  # entries per product block of draws and per charfn tile: the buffers stay in cache
+
+
+def _block_rows(depth: int) -> tuple[int, int]:
+    """Rows of one product block and of one draw span at this depth.
+
+    A block has a multiple of 8 rows, as many as fit in _BLOCK entries but
+    at least 8; a span, the rows drawn at once, has as many whole blocks as
+    fit in 4 * _BLOCK entries, at least one: four at most depths.
+    """
+    rows = max(8, _BLOCK // depth // 8 * 8)
+    return rows, rows * max(1, 4 * _BLOCK // (rows * depth))
 
 
 def _draw_blocks(weights, count: int, depth: int, seed: int):
@@ -135,8 +146,14 @@ def _draw_blocks(weights, count: int, depth: int, seed: int):
     Each digit is an inverse CDF of a seeded uniform: the number of cumulative
     weights of the law (p0, p1, p2, p3) at or below it, which is
     searchsorted(..., side="right"), ties included.  One reused buffer holds
-    the uniforms of a block, filled in turn from one stream, so the blocks
-    are the rows of a single (count, depth) draw.
+    the uniforms of a span of whole blocks (`_block_rows`: about 4 * _BLOCK
+    uniforms), filled in turn from one stream, so the spans are the rows of a
+    single (count, depth) draw.  The span's digits are counted in place in
+    one reused uint8 buffer, with one comparison per distinct cumulative
+    weight below 1: the first writes the buffer itself, a repeated weight
+    counts its multiplicity, and a weight of 1 or more is never reached by a
+    uniform in [0, 1).  Each block of the span is then yielded as a fresh
+    float array.
 
     A block's product with a vector rounds as the same rows of the whole
     array's product would, computed on one thread: every block but the last
@@ -150,20 +167,30 @@ def _draw_blocks(weights, count: int, depth: int, seed: int):
 
     if depth < 1 or count < 1:
         raise ValueError("count and depth must be positive")
-    cum = np.cumsum([float(x) for x in weights])[:-1]
+    cum = np.cumsum([float(x) for x in weights])[:-1].tolist()
+    steps = [(c, cum.count(c)) for c in sorted(set(cum)) if c < 1]  # (weight, multiplicity)
     rng = np.random.default_rng(seed)
-    rows = max(8, _BLOCK // depth // 8 * 8)
-    u = np.empty((min(count, rows + 1), depth))
-    idx = np.empty(u.shape, dtype=np.uint8)
+    rows, span = _block_rows(depth)
+    u = np.empty((min(count, span + 1), depth))
+    digits = np.zeros(u.shape, dtype=np.uint8)  # stays 0 when no weight is below 1
+    hits = np.empty(u.shape, dtype=np.uint8)
     start = 0
     while start < count:
-        n = rows if count - start > rows + 1 else count - start  # a lone last row joins its block
-        ub, ib = u[:n], idx[:n]
+        n = span if count - start > span + 1 else count - start  # a lone last row joins the last span
+        ub, db = u[:n], digits[:n]
         rng.random(out=ub)
-        ib.fill(0)
-        for c in cum:
-            ib += ub >= c
-        yield start, ib.astype(float)
+        for i, (c, times) in enumerate(steps):
+            hb = hits[:n] if i else db  # the first comparison writes the digits themselves
+            np.greater_equal(ub, c, out=hb.view(bool))
+            if times > 1:
+                hb *= times
+            if i:
+                db += hb
+        b = 0
+        while b < n:
+            m = rows if n - b > rows + 1 else n - b  # and the last block
+            yield start + b, db[b:b + m].astype(float)
+            b += m
         start += n
 
 
@@ -279,6 +306,7 @@ def _cdf_point(p: ProbVector, tol: float):
 # characteristic function
 
 _FLOAT_EPS = sys.float_info.epsilon
+_NARROW = 16  # a chunk of fewer t's multiplies in Python floats: numpy's per-call cost outweighs its rows
 
 
 @dataclass(frozen=True)
@@ -356,8 +384,11 @@ def charfn_grid(p: ProbVector, ts, K: int):
     more than _BLOCK entries, whatever K and the length of the grid: each
     tile takes w = s*t, np.cos and np.sin, and the three Horner steps at
     once, and the running product then takes the tile's factors row by row
-    down k.  Every step is the float operation of charfn's loop on separate
-    real and imaginary float64 arrays, in the same order; numpy's complex128
+    down k: as numpy rows of n entries, or, in a chunk of fewer than
+    _NARROW t's, where numpy's per-call cost would outweigh the row, down
+    each t's column of the tile in Python floats.  Every step is the float
+    operation of charfn's loop on separate real and imaginary float64
+    arrays or Python floats, in the same order; numpy's complex128
     multiply fuses the products (FMA) and rounds differently, and np.prod
     would reorder them.  The values, the t == 0 case and the bounds are
     finished per t in Python.  charfn's bound takes cos and sin within one
@@ -381,8 +412,10 @@ def charfn_grid(p: ProbVector, ts, K: int):
     def products(chunk) -> tuple[list, list]:
         """Real and imaginary parts of the truncated products at the t's of `chunk`."""
         t = np.array([float(x) for x in chunk])
-        vr, vi = np.ones(len(t)), np.zeros(len(t))
-        rows = _BLOCK // len(t)
+        n = len(t)
+        narrow = n < _NARROW
+        vr, vi = ([1.0] * n, [0.0] * n) if narrow else (np.ones(n), np.zeros(n))
+        rows = _BLOCK // n
         for k0 in range(1, K + 1, rows):  # the tile of factors k0 .. k0 + rows - 1
             s = np.array([3.0 ** -k for k in range(k0, min(k0 + rows, K + 1))])
             w = s[:, None] * t
@@ -390,9 +423,16 @@ def charfn_grid(p: ProbVector, ts, K: int):
             ar, ai = p3 * x + p2, p3 * y  # Horner in real parts, as complex arithmetic rounds it
             ar, ai = ar * x - ai * y + p1, ar * y + ai * x
             ar, ai = ar * x - ai * y + p0, ar * y + ai * x
-            for a, b in zip(ar, ai):
-                vr, vi = vr * a - vi * b, vr * b + vi * a
-        return vr.tolist(), vi.tolist()
+            if narrow:  # one column of factors per t, in Python floats
+                for j, (col_r, col_i) in enumerate(zip(ar.T.tolist(), ai.T.tolist())):
+                    pr, pi = vr[j], vi[j]
+                    for a, b in zip(col_r, col_i):
+                        pr, pi = pr * a - pi * b, pr * b + pi * a
+                    vr[j], vi[j] = pr, pi
+            else:
+                for a, b in zip(ar, ai):
+                    vr, vi = vr * a - vi * b, vr * b + vi * a
+        return (vr, vi) if narrow else (vr.tolist(), vi.tolist())
 
     def grid():
         while True:

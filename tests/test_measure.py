@@ -399,6 +399,24 @@ def test_charfn_grid_tiles_match_the_scalar_loop(monkeypatch, n, K):
     assert 0 < max(sizes) <= M._BLOCK
 
 
+@pytest.mark.parametrize("K", [1, 40, 9000])
+def test_charfn_grid_narrow_chunks_match_the_scalar_loop(monkeypatch, K):
+    # a chunk of fewer than _NARROW t's runs its product down each t's column in Python
+    # floats, a wider one row by row in numpy: every width up to past the crossover must give
+    # the scalar loop's bits, and no np.cos or np.sin tile may pass _BLOCK entries
+    sizes = []
+    for name in ("cos", "sin"):
+        f = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda w, f=f: sizes.append(w.size) or f(w))
+    p = ProbVector.parse(("0.1", "0.2", "0.3", "0.4"))
+    big = float(min(10 ** 6, 400 * 3 ** K))  # expm1 of the truncation term stays finite
+    for n in range(1, M._NARROW + 3):
+        ts = [0.05 * j * (-1) ** j for j in range(n - 1)] + [big]
+        grid = [_bits(r.value, r.tail_bound) for r in M.charfn_grid(p, ts, K)]
+        assert grid == [_bits(*_charfn_one(p, t, K)) for t in ts], (n, K)
+    assert 0 < max(sizes) <= M._BLOCK
+
+
 def test_charfn_grid_refuses_a_bad_t_after_the_chunk_before_it():
     p = pv("1/4", "1/4", "1/4", "1/4")
     read = []
@@ -573,6 +591,44 @@ def test_draw_blocks_match_one_array_at_block_boundaries(monkeypatch, block):
             assert np.array_equal(got, ref @ powers), (depth, count)
 
 
+def _partition(count, size):
+    """Blocks of `size` from 0 to `count`, a lone last entry folded into the block before it."""
+    sizes = [size] * (count // size) + [count % size] * (count % size > 0)
+    if len(sizes) > 1 and sizes[-1] == 1:
+        sizes[-2:] = [size + 1]
+    return [(start - n, n) for start, n in zip(itertools.accumulate(sizes), sizes)]
+
+
+@pytest.mark.parametrize("block", [64, 1000])
+def test_draw_spans_keep_the_block_partition_bit_for_bit(monkeypatch, block):
+    # the uniforms of whole blocks are drawn a span at a time and counted in place, one
+    # comparison per distinct cumulative weight below 1: at the span's edges, and with a lone
+    # last row inside the last span, the digits must be those of one (count, depth) draw and
+    # the blocks today's partition, for a repeated weight (p1 = p2 = 0), a weight of 0
+    # (p0 = 0) and a weight of exactly 1.0 (p3 = 0)
+    monkeypatch.setattr(M, "_BLOCK", block)
+    compares = []
+    ge = np.greater_equal
+    monkeypatch.setattr(np, "greater_equal", lambda *a, **k: compares.append(1) or ge(*a, **k))
+    laws = {(F(1, 2), 0, 0, F(1, 2)): 1, (0, F(1, 3), F(1, 3), F(1, 3)): 3,
+            (F(1, 2), F(1, 4), F(1, 4), 0): 2, (0, F(1, 2), 0, F(1, 2)): 2, (0, 0, F(1, 2), F(1, 2)): 2}
+    for depth in (1, 12, 40, 41, 100):
+        rows, span = M._block_rows(depth)
+        assert span % rows == 0 and (span == rows or span * depth <= 4 * block)
+        powers = 3.0 ** -np.arange(1, depth + 1)
+        for count in sorted({span - 1, span, span + 1, 2 * span + 1, 2 * span + rows + 1} - {0}):
+            for w, distinct in laws.items():
+                seed = count + depth
+                ref = _draw_reference(w, count, depth, seed)
+                del compares[:]
+                blocks = list(M._draw_blocks(w, count, depth, seed))
+                assert len(compares) == distinct * len(_partition(count, span)), (w, depth, count)
+                assert [(start, len(b)) for start, b in blocks] == _partition(count, rows), (depth, count)
+                assert np.array_equal(np.concatenate([b for _, b in blocks]), ref), (w, depth, count)
+                got = M.sample_many(ProbVector(*w), count, depth, seed)
+                assert np.array_equal(got, ref @ powers), (w, depth, count)
+
+
 def test_sample_many_memory_stays_block_sized():
     import tracemalloc
 
@@ -606,6 +662,28 @@ def test_sample_many_does_not_depend_on_blas_thread_count():
                               capture_output=True, text=True, env=env, check=True)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+_SPANS_THREADS_SCRIPT = """
+import hashlib
+from tern4 import measure
+p = measure.ProbVector.parse(("1/2", "0", "0", "1/2"))
+for depth in (40, 700):
+    rows, span = measure._block_rows(depth)
+    for count in (3 * span + 9, 3 * span + rows + 1):  # a short last span, and a lone last row folded
+        print(count, depth, hashlib.sha1(measure.sample_many(p, count, depth, seed=2).tobytes()).hexdigest())
+"""
+
+
+def test_sample_many_across_draw_spans_does_not_depend_on_blas_thread_count():
+    src = str(Path(M.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _SPANS_THREADS_SCRIPT],
+                              capture_output=True, text=True, env=env, check=True)
+        outs.append(proc.stdout)
+    assert len(outs[0].splitlines()) == 4 and outs[0] == outs[1]
 
 
 def test_sample_support_bounds():
