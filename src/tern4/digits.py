@@ -233,36 +233,58 @@ def cylinder_overlap(base: Sequence[int], i: int) -> Cylinder:
 # For x = n/q every residual 3y - c along an expansion is again a multiple of
 # 1/q in [0, 3/2], so a state is an integer numerator over the fixed q.  The
 # expansions of x are the infinite paths from n; every state has an out-edge.
+# The states at depth k are the lower state r = 3**k * n mod q and the upper
+# state r + q, which is a state only while 2r <= q; so one walk of the
+# remainders, t, r = divmod(3r, q), serves every path.  Lower -> upper reads
+# the digit t - 1, lower -> lower t, upper -> upper t + 2, upper -> lower 3.
 
-class _Graph(dict):
-    """The residual graph over the fixed q: state n -> its edges (c, 3n - c*q), in digit order,
-    for the digits c in 0..3 that keep the residual in [0, 3/2].  They fill [3y - 3/2, 3y], of
-    length 3/2, so at most two: c = min(3, floor(3n/q)), and c - 1 when c >= 1 and its residual
-    3n - cq + q is at most 3q/2.  A walk makes each state's edges once, on first use."""
-
-    def __init__(self, q: int):
-        super().__init__()
-        self.q = q
-
-    def __missing__(self, n: int) -> list[tuple[int, int]]:
-        q = self.q
-        c = min(MAX_DIGIT, 3 * n // q)
-        r = 3 * n - c * q
-        return self.setdefault(n, [(c - 1, r + q), (c, r)] if c and 2 * r <= q else [(c, r)])
+#: the edges (digit, 0 lower / 1 upper) out of the lower and out of the upper state of a level,
+#: by the level's t = 3r // q and whether the next level has an upper state, in digit order
+_EDGES = {(t, up): (((t - 1, 1),) * (t > 0 and up) + ((t, 0),),
+                    ((t + 2, 1),) * (t < 2 and up) + ((3, 0),) * (t == 0))
+          for t in range(3) for up in (False, True)}
 
 
-def _paths(graph: _Graph, n: int, m: int) -> list[tuple[tuple[int, ...], int]]:
-    """Each length-m path from state n as (digit word, end state), in lexicographic order, spelled once
-    each by one depth-first walk.  More than `_WALK_STATES` paths (at most 2**m, so counted only
+def _step(r: int, q: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """One level of the remainder walk: the next remainder 3r mod q, and the edges out of the lower
+    state r and the upper state r + q (read only where 2r <= q), from `_EDGES`."""
+    t, r = divmod(3 * r, q)
+    return r, _EDGES[t, 2 * r <= q]
+
+
+def _counts(n: int, q: int, m: int, cap: int | None = None) -> tuple[int, int]:
+    """The numbers of length-m paths from state n to the lower and the upper state at depth m.
+    Counts above `cap`, when given, are cut to it at every level, so they stay small where exact
+    ones would not."""
+    r, lo, up = n % q, int(n < q), int(n >= q)
+    for _ in range(m):
+        t, r = divmod(3 * r, q)
+        if t:  # no edge from upper to lower; an upper state has t <= 1, so up is 0 at t = 2
+            up = lo + up if 2 * r <= q else 0
+        else:
+            lo, up = lo + up, up if 2 * r <= q else 0
+        if cap:
+            lo, up = min(lo, cap), min(up, cap)
+    return lo, up
+
+
+def _paths(n: int, q: int, m: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each length-m path from state n as (digit word, 0 or 1: it ends on the lower or the upper
+    state), in lexicographic order, spelled once each by one depth-first walk of the lower/upper
+    flag over the levels' edges.  More than `_WALK_STATES` paths (at most 2**m, so counted only
     past that) raise ValueError first."""
-    if 2 ** m > _WALK_STATES < sum(next(itertools.islice(_levels(graph, n), m, None)).values()):
+    if 2 ** m > _WALK_STATES < sum(_counts(n, q, m, _WALK_STATES + 1)):
         raise ValueError(f"more than {_WALK_STATES} paths of length {m} to list")
-    found, word, todo, s = [], [], [], n
+    levels, r = [], n % q
+    for _ in range(m):
+        r, edges = _step(r, q)
+        levels.append(edges)
+    found, word, todo, s = [], [], [], int(n >= q)
     while True:
-        while len(word) < m:  # follow the smaller digit, keep the other edge for later
-            edges = graph[s]
+        for k in range(len(word), m):  # follow the smaller digit, keep the other edge for later
+            edges = levels[k][s]
             if len(edges) > 1:
-                todo.append((len(word), edges[1]))
+                todo.append((k, edges[1]))
             c, s = edges[0]
             word.append(c)
         found.append((tuple(word), s))
@@ -271,21 +293,6 @@ def _paths(graph: _Graph, n: int, m: int) -> list[tuple[tuple[int, ...], int]]:
         k, (c, s) = todo.pop()
         del word[k:]
         word.append(c)
-
-
-def _levels(graph, start, cap=None):
-    """Path counts one level at a time, without end: for k = 0, 1, ... the number of
-    length-k paths from `start` to each state they reach.  `graph` maps a state to its
-    edges [(label, next state)]; a state with no edges ends its paths.  Counts above
-    `cap`, when given, are cut to it, so they stay small where exact ones would not."""
-    level = {start: 1}
-    while True:
-        yield level
-        nxt = {}
-        for s, k in level.items():
-            for _, t in graph[s]:
-                nxt[t] = nxt.get(t, 0) + k
-        level = nxt if cap is None else {t: min(k, cap) for t, k in nxt.items()}
 
 
 #: the text of a number from outside: ASCII 'a/b' or a decimal, an optional sign, no whitespace
@@ -360,7 +367,7 @@ def admissible_prefixes(x, m: int) -> list[tuple[int, ...]]:
     n, q = _state(x)
     if m < 1:
         raise ValueError("prefix length must be positive")
-    return [word for word, _ in _paths(_Graph(q), n, m)]
+    return [word for word, _ in _paths(n, q, m)]
 
 
 def count_expansion_prefixes(x, m: int) -> int:
@@ -368,8 +375,7 @@ def count_expansion_prefixes(x, m: int) -> int:
     n, q = _state(x)
     if m < 0:
         raise ValueError("depth must be non-negative")
-    level = next(itertools.islice(_levels(_Graph(q), n), m, None))  # the ends of the length-m paths
-    return sum(level.values())
+    return sum(_counts(n, q, m))
 
 
 # ---------------------------------------------------------------------------
@@ -417,36 +423,33 @@ def _census(d: DigitString) -> tuple[ReprCardinality, Callable[[int], list[Digit
     if d.period is None:
         raise ValueError("classification needs an eventually periodic digit string")
     n0, q = _state(evaluate(d))
-    graph = _Graph(q)
     # The states at depth k are r = 3**k * n0 mod q (lower) and r + q (upper); with q = 3**P * q' and
     # q' prime to 3 the remainders repeat from k = P on.  r -> 3r mod q, of digit 3r // q, is always an
     # edge, so the lower states make a cycle.
     P = next(k for k in itertools.count() if q % 3 ** (k + 1))
     lo = r = 3 ** P * n0 % q
-    block = []  # the lower cycle's digits from lo
+    block = bytearray()  # the lower cycle's digits from lo
     while r != lo or not block:
         c, r = divmod(3 * r, q)
         block.append(c)
     L = len(block)
-    window = next(itertools.islice(_levels(graph, n0), P, None))  # the paths of length P, by end state
-    # M[h][t]: the length-L paths from state h to t at depth P, for the states reached, cut at 2.  Short
-    # of a continuum each is 0 or 1: a run of upper states is entered from the lower cycle and, short of
-    # the whole period, left back to it, so two paths would make two cycles.
-    def row(h):
-        return next(itertools.islice(_levels(graph, h, 2), L, None))
-    M = {h: row(h) for h in window}
-    M |= {t: row(t) for h in window for t in M[h] if t not in M}
-    cycles = []  # (0 or q, block) of each cycle: the lower or the upper states
-    if any(sum(k * M[t].get(h, 0) for t, k in M[h].items()) > 1 for h in M):
+    window = _counts(n0, q, P)  # the paths of length P, to the lower and the upper state
+    # M[h][t]: the length-L paths from the lower (0) or upper (1) state h at depth P to t, cut at 2.
+    # Short of a continuum each is 0 or 1: a run of upper states is entered from the lower cycle and,
+    # short of the whole period, left back to it, so two paths would make two cycles.
+    M = _counts(lo, q, L, 2), _counts(lo + q, q, L, 2) if 2 * lo <= q else (0, 0)
+    reached = [h for h in (0, 1) if window[h] or any(window[g] and M[g][h] for g in (0, 1))]
+    cycles = []  # (0 or 1, block) of each cycle: the lower or the upper states
+    if any(M[h][0] * M[0][h] + M[h][1] * M[1][h] > 1 for h in reached):
         card = ReprCardinality(Cardinality.CONTINUUM)
     else:
-        once = sum(k * sum(M[h].values()) for h, k in window.items())  # the paths of length P + L
-        twice = sum(k * j * sum(M[t].values()) for h, k in window.items() for t, j in M[h].items())
+        once = sum(k * sum(M[h]) for h, k in enumerate(window))  # the paths of length P + L
+        twice = sum(k * j * sum(M[t]) for h, k in enumerate(window) for t, j in enumerate(M[h]))
         card = (ReprCardinality(Cardinality.COUNTABLE) if twice > once
                 else ReprCardinality(Cardinality.UNIQUE) if once == 1
                 else ReprCardinality(Cardinality.FINITE, once))
         # an upper state's cycle never meets a lower state, which would put it beside the lower cycle
-        cycles = [(h - lo, tuple(c + 2 * (h > lo) for c in block)) for h in M if M[h].get(h)]
+        cycles = [(h, tuple(c + 2 * h for c in block)) for h in reached if M[h][h]]
 
     def expand(m: int) -> list[DigitString]:
         if card.kind is Cardinality.CONTINUUM:
@@ -454,8 +457,8 @@ def _census(d: DigitString) -> tuple[ReprCardinality, Callable[[int], list[Digit
         if m < len(d.preperiod):
             raise ValueError("depth must cover the preperiod")
         i = (m - P) % L  # a path of length m ends on a cycle at the cycle's i-th state
-        blocks = {pow(3, i, q) * lo % q + up: word[i:] + word[:i] for up, word in cycles}
-        found = [DigitString(w, blocks[s]) for w, s in _paths(graph, n0, m) if s in blocks]
+        blocks = {h: word[i:] + word[:i] for h, word in cycles}
+        found = [DigitString(w, blocks[h]) for w, h in _paths(n0, q, m) if h in blocks]
         return sorted(found, key=lambda r: (len(r.preperiod), r.preperiod, r.period))
 
     return card, expand

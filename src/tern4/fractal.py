@@ -55,6 +55,20 @@ def _automaton(V: tuple[int, ...], base: int) -> list[list[tuple[int, int]]]:
     return rows
 
 
+def _levels(graph, start):
+    """Path counts one level at a time, without end: for k = 0, 1, ... the number of
+    length-k paths from `start` to each state they reach.  `graph` maps a state to its
+    edges [(label, next state)]; a state with no edges ends its paths."""
+    level = {start: 1}
+    while True:
+        yield level
+        nxt = {}
+        for s, k in level.items():
+            for _, t in graph[s]:
+                nxt[t] = nxt.get(t, 0) + k
+        level = nxt
+
+
 def _cell_counts(V: tuple[int, ...], n_max: int, base: int) -> list[int]:
     """Distinct values sum(c_k * base**(n-k)) over words of V**n, for n = 1..n_max.
 
@@ -69,7 +83,7 @@ def _cell_counts(V: tuple[int, ...], n_max: int, base: int) -> list[int]:
     The states form a finite automaton (the differences are bounded integers);
     N(n) is the number of length-n paths from the empty set.
     """
-    levels = itertools.islice(digits._levels(_automaton(V, base), 0), 1, n_max + 1)
+    levels = itertools.islice(_levels(_automaton(V, base), 0), 1, n_max + 1)
     return [sum(level.values()) for level in levels]
 
 

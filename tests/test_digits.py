@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -304,22 +305,49 @@ def test_admissible_prefixes_rejects_out_of_range():
         D.admissible_prefixes(F(-1, 5), 2)
 
 
+def _edges(n, q):
+    """The edges (c, 3n - cq) of state n over q, in digit order, read off one level of the
+    remainder walk: n is the lower state of n mod q, or its upper state when n >= q."""
+    r, edges = D._step(n % q, q)
+    return [(c, r + up * q) for c, up in edges[n >= q]]
+
+
 def test_graph_edges_match_the_four_digit_filter_exhaustive():
     # the digit range of each state against testing every digit c for 0 <= 3n - cq <= 3q/2
     for q in range(1, 61):
-        graph = D._Graph(q)
         for n in range(3 * q // 2 + 1):
             expected = [(c, 3 * n - c * q) for c in range(4) if 0 <= 2 * (3 * n - c * q) <= 3 * q]
-            assert graph[n] == expected and expected, (n, q)
+            assert _edges(n, q) == expected and expected, (n, q)
 
 
 def test_graph_two_edge_rule_matches_the_digit_interval_exhaustive():
     # the admissible digits are ceil((6n - 3q)/2q) .. floor(3n/q), cut to 0..3
     for q in range(1, 401):
-        graph = D._Graph(q)
         for n in range(3 * q // 2 + 1):
             lo, hi = max(0, -((3 * q - 6 * n) // (2 * q))), min(3, 3 * n // q)
-            assert graph[n] == [(c, 3 * n - c * q) for c in range(lo, hi + 1)], (n, q)
+            assert _edges(n, q) == [(c, 3 * n - c * q) for c in range(lo, hi + 1)], (n, q)
+
+
+def _filtered_prefixes(x, m_max):
+    """The admissible words of each length 0..m_max, in lexicographic order, over Fractions
+    apart from the library: each word of a level extended by the digits c in 0..3 whose
+    residual 3y - c stays in [0, 3/2]."""
+    level, out = [((), x)], [[()]]
+    for _ in range(m_max):
+        level = [(w + (c,), z) for w, y in level for c in range(4) for z in (3 * y - c,)
+                 if 0 <= z <= HALF_WIDTH]
+        out.append([w for w, _ in level])
+    return out
+
+
+def test_prefix_counts_and_lists_against_the_four_digit_filter_exhaustive():
+    values = {F(a, q) for q in range(1, 61) for a in range(3 * q // 2 + 1)}
+    assert len(values) == 1654
+    for x in values:
+        for m, words in enumerate(_filtered_prefixes(x, 8)):
+            assert D.count_expansion_prefixes(x, m) == len(words), (x, m)
+            if m:
+                assert D.admissible_prefixes(x, m) == words, (x, m)
 
 
 def test_largest_expansion_is_the_last_admissible_prefix_exhaustive():
@@ -558,6 +586,21 @@ def test_listing_a_long_countable_census_is_not_cubic():
     assert time.perf_counter() - start < 1
     assert len(reps) == 607 and d in reps
     assert len(set(reps)) == len(reps) and all(D.evaluate(r) == D.evaluate(d) for r in reps)
+
+
+def test_census_of_a_long_continuum_peaks_small_and_keeps_nothing():
+    # 1/10039 repeats after 10038 digits; the census walks its remainders with two counts per
+    # level and keeps no state of the residual graph once it returns
+    d = D.largest_expansion(F(1, 10039))
+    assert len(d.period) == 10038
+    tracemalloc.start()
+    try:
+        card, expand = D._census(d)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert card.kind is Cardinality.CONTINUUM
+    assert peak < 2 ** 20 and held < 2 ** 14, (peak, held)
 
 
 def test_canonical_form_against_the_one_digit_rotation():

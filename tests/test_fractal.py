@@ -7,6 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
+from test_digits import _edges
 from tern4 import digits as D
 from tern4 import fractal as Fr
 
@@ -190,11 +191,10 @@ def test_eggleston_dimension_reads_decimal_text_as_inexact():
 def _unique_cells():
     """The cells with one admissible digit, read at their midpoints (2k+1)/12, each with the
     kept cells among the middle cell of its image under y -> 3y - c and the cells either side."""
-    graph = D._Graph(12)
-    kept = [k for k in range(9) if len(graph[2 * k + 1]) == 1]
+    kept = [k for k in range(9) if len(_edges(2 * k + 1, 12)) == 1]
     successors = {}
     for k in kept:
-        [(c, t)] = graph[2 * k + 1]
+        [(c, t)] = _edges(2 * k + 1, 12)
         middle = (t - 1) // 2  # the cell of the midpoint's image t/12
         successors[k] = [j for j in (middle - 1, middle, middle + 1) if j in kept]
     return successors
