@@ -12,7 +12,6 @@ how many expansions a number has.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -83,6 +82,15 @@ class DigitString:
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 
+    @classmethod
+    def _spelled(cls, pre: tuple[int, ...], per: tuple[int, ...]) -> DigitString:
+        """The digit string of a preperiod and a block that are already canonical, set without the
+        checks of `__post_init__`; `_census`'s listing, which spells them so, is its one caller."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "preperiod", pre)
+        object.__setattr__(d, "period", per)
+        return d
+
     def expand(self, n: int) -> tuple[int, ...]:
         """First n digits of the digit sequence (fewer if the word is finite)."""
         if self.period is None or n <= len(self.preperiod):
@@ -112,8 +120,16 @@ def parse(text: str) -> DigitString:
     return DigitString(pre, None if per is None else tuple(map(int, per)))
 
 
+_HORNER_DIGITS = 256  # the longest word `_numerator` sums by Horner; a longer one is split in halves
+
+
 def _numerator(word: Sequence[int], base: int) -> int:
-    """Integer sum of digit_k * base**(len(word) - k) over the word, by Horner."""
+    """Integer sum of digit_k * base**(len(word) - k) over the word: by Horner up to `_HORNER_DIGITS`
+    digits, else as its two halves joined by one shift, so a long word costs a few big products
+    instead of one ever longer product per digit."""
+    if len(word) > _HORNER_DIGITS:
+        h = len(word) // 2
+        return _numerator(word[:h], base) * base ** (len(word) - h) + _numerator(word[h:], base)
     acc = 0
     for c in word:
         acc = acc * base + c
@@ -268,29 +284,32 @@ def _counts(n: int, q: int, m: int, cap: int | None = None) -> tuple[int, int]:
     return lo, up
 
 
-def _paths(n: int, q: int, m: int) -> list[tuple[tuple[int, ...], int]]:
+def _paths(n: int, q: int, m: int) -> list[tuple[tuple[int, ...], int, int]]:
     """Each length-m path from state n as (digit word, 0 or 1: it ends on the lower or the upper
-    state), in lexicographic order, spelled once each by one depth-first walk of the lower/upper
-    flag over the levels' edges.  More than `_WALK_STATES` paths (at most 2**m, so counted only
-    past that) raise ValueError first."""
+    state, the depth where its final run on states of that kind starts), in lexicographic order,
+    spelled once each by one depth-first walk of the lower/upper flag over the levels' edges.  More
+    than `_WALK_STATES` paths (at most 2**m, so counted only past that) raise ValueError first."""
     if 2 ** m > _WALK_STATES < sum(_counts(n, q, m, _WALK_STATES + 1)):
         raise ValueError(f"more than {_WALK_STATES} paths of length {m} to list")
     levels, r = [], n % q
     for _ in range(m):
         r, edges = _step(r, q)
         levels.append(edges)
-    found, word, todo, s = [], [], [], int(n >= q)
+    found, word, todo, s, e = [], [], [], int(n >= q), 0
     while True:
         for k in range(len(word), m):  # follow the smaller digit, keep the other edge for later
             edges = levels[k][s]
             if len(edges) > 1:
-                todo.append((k, edges[1]))
-            c, s = edges[0]
+                c, t = edges[1]
+                todo.append((k, c, t, e if t == s else k + 1))
+            c, t = edges[0]
+            if t != s:
+                s, e = t, k + 1
             word.append(c)
-        found.append((tuple(word), s))
+        found.append((tuple(word), s, e))
         if not todo:
             return found
-        k, (c, s) = todo.pop()
+        k, c, s, e = todo.pop()
         del word[k:]
         word.append(c)
 
@@ -367,7 +386,7 @@ def admissible_prefixes(x, m: int) -> list[tuple[int, ...]]:
     n, q = _state(x)
     if m < 1:
         raise ValueError("prefix length must be positive")
-    return [word for word, _ in _paths(n, q, m)]
+    return [word for word, _, _ in _paths(n, q, m)]
 
 
 def count_expansion_prefixes(x, m: int) -> int:
@@ -423,42 +442,63 @@ def _census(d: DigitString) -> tuple[ReprCardinality, Callable[[int], list[Digit
     if d.period is None:
         raise ValueError("classification needs an eventually periodic digit string")
     n0, q = _state(evaluate(d))
+    least = len(d.preperiod)  # the shallowest depth a listing takes
     # The states at depth k are r = 3**k * n0 mod q (lower) and r + q (upper); with q = 3**P * q' and
     # q' prime to 3 the remainders repeat from k = P on.  r -> 3r mod q, of digit 3r // q, is always an
     # edge, so the lower states make a cycle.
-    P = next(k for k in itertools.count() if q % 3 ** (k + 1))
+    P, q1 = 0, q
+    while q1 % 3 == 0:
+        P, q1 = P + 1, q1 // 3
     lo = r = 3 ** P * n0 % q
     block = bytearray()  # the lower cycle's digits from lo
     while r != lo or not block:
-        c, r = divmod(3 * r, q)
-        block.append(c)
+        t, r = divmod(3 * r, q)
+        block.append(t)
     L = len(block)
-    window = _counts(n0, q, P)  # the paths of length P, to the lower and the upper state
-    # M[h][t]: the length-L paths from the lower (0) or upper (1) state h at depth P to t, cut at 2.
-    # Short of a continuum each is 0 or 1: a run of upper states is entered from the lower cycle and,
-    # short of the whole period, left back to it, so two paths would make two cycles.
-    M = _counts(lo, q, L, 2), _counts(lo + q, q, L, 2) if 2 * lo <= q else (0, 0)
-    reached = [h for h in (0, 1) if window[h] or any(window[g] and M[g][h] for g in (0, 1))]
-    cycles = []  # (0 or 1, block) of each cycle: the lower or the upper states
-    if any(M[h][0] * M[0][h] + M[h][1] * M[1][h] > 1 for h in reached):
+    w0, w1 = _counts(n0, q, P)  # the paths of length P, to the lower and the upper state
+    # M = ((a, b), (c, d)): the length-L paths from the lower or the upper state at depth P to the lower
+    # and the upper one, cut at 2.  Short of a continuum each is 0 or 1: a run of upper states is
+    # entered from the lower cycle and, short of the whole period, left back to it, so two paths
+    # would make two cycles.
+    (a, b), (c, d) = _counts(lo, q, L, 2), _counts(lo + q, q, L, 2) if 2 * lo <= q else (0, 0)
+    r0, r1 = w0 or (w1 and c), w1 or (w0 and b)  # the lower and the upper state at depth P are reached
+    cycles = {}  # the block of each cycle, by 0 or 1: the lower or the upper states
+    if (r0 and a * a + b * c > 1) or (r1 and c * b + d * d > 1):  # two closed walks in M^2
         card = ReprCardinality(Cardinality.CONTINUUM)
     else:
-        once = sum(k * sum(M[h]) for h, k in enumerate(window))  # the paths of length P + L
-        twice = sum(k * j * sum(M[t]) for h, k in enumerate(window) for t, j in enumerate(M[h]))
+        s0, s1 = a + b, c + d  # the length-L paths out of the lower and out of the upper state
+        # the paths of length P + L, and of length P + 2L
+        once, twice = w0 * s0 + w1 * s1, w0 * (a * s0 + b * s1) + w1 * (c * s0 + d * s1)
         card = (ReprCardinality(Cardinality.COUNTABLE) if twice > once
                 else ReprCardinality(Cardinality.UNIQUE) if once == 1
                 else ReprCardinality(Cardinality.FINITE, once))
         # an upper state's cycle never meets a lower state, which would put it beside the lower cycle
-        cycles = [(h, tuple(c + 2 * h for c in block)) for h in reached if M[h][h]]
+        if r0 and a:
+            cycles[0] = tuple(block)
+        if r1 and d:
+            cycles[1] = tuple(t + 2 for t in block)
 
     def expand(m: int) -> list[DigitString]:
+        """Each length-m path that ends on a cycle, spelled as its digits before its final run on
+        the cycle, which starts at depth e >= P, and the cycle's block from the state at depth e.
+
+        That is the canonical form.  The block is primitive, as the remainders' period L is least.
+        The preperiod does not end with the block's last digit.  The digit of an edge fixes the
+        kind of its source: into a lower state it is t from a lower state and 3 from an upper
+        one, into an upper state t - 1 from a lower state and t + 2 from an upper one.  So the
+        digits that run the block backwards are exactly the steps on the cycle, which stop at e;
+        and a period starting before P would make the remainders repeat before P.
+        """
         if card.kind is Cardinality.CONTINUUM:
             raise ValueError("continuum many expansions; enumeration refused")
-        if m < len(d.preperiod):
+        if m < least:
             raise ValueError("depth must cover the preperiod")
-        i = (m - P) % L  # a path of length m ends on a cycle at the cycle's i-th state
-        blocks = {h: word[i:] + word[:i] for h, word in cycles}
-        found = [DigitString(w, blocks[h]) for w, h in _paths(n0, q, m) if h in blocks]
+        found = []
+        for w, h, e in _paths(n0, q, m):
+            if h in cycles:
+                e = max(e, P)
+                i, per = (e - P) % L, cycles[h]
+                found.append(DigitString._spelled(w[:e], per[i:] + per[:i]))
         return sorted(found, key=lambda r: (len(r.preperiod), r.preperiod, r.period))
 
     return card, expand

@@ -169,6 +169,25 @@ def test_evaluate_against_geometric_series_exhaustive():
                 assert D.evaluate(DigitString(pre, per), base) == expected, (base, pre, per)
 
 
+def test_evaluate_of_a_long_block_is_its_horner_value_in_a_small_part_of_the_time():
+    # past _HORNER_DIGITS digits the numerator is summed as two halves: a 10**5-digit block must
+    # give the digit-by-digit Horner value, without Horner's quadratic cost
+    rng = random.Random(25)
+    word = tuple(rng.randrange(4) for _ in range(10 ** 5))
+    start = time.perf_counter()
+    horner = 0
+    for c in word:
+        horner = 3 * horner + c
+    horner_s = time.perf_counter() - start
+    d = DigitString((), word)
+    assert d.period == word
+    start = time.perf_counter()
+    value = D.evaluate(d)
+    assert time.perf_counter() - start < horner_s / 4
+    assert value == F(horner, 3 ** len(word) - 1)
+    assert D.word_value(list(word)) == F(horner, 3 ** len(word))
+
+
 def test_evaluate_requires_period():
     with pytest.raises(ValueError):
         D.evaluate(D.parse("12"))
@@ -586,6 +605,22 @@ def test_listing_a_long_countable_census_is_not_cubic():
     assert time.perf_counter() - start < 1
     assert len(reps) == 607 and d in reps
     assert len(set(reps)) == len(reps) and all(D.evaluate(r) == D.evaluate(d) for r in reps)
+
+
+def test_listed_expansions_are_spelled_canonical_exhaustive():
+    # each expansion a listing spells from its walk, with its period starting where its path's
+    # final run on a cycle begins, is the form __post_init__ makes of the same two fields: for
+    # every canonical string with preperiod <= 3 and period <= 3 short of a continuum, at 8 depths
+    words = [w for n in range(4) for w in product(range(4), repeat=n)]
+    listed = 0
+    for d in {DigitString(pre, per) for pre in words for per in words if per}:
+        card, expand = D._census(d)
+        if card.kind is not Cardinality.CONTINUUM:
+            for m in range(len(d.preperiod), len(d.preperiod) + 8):
+                for r in expand(m):
+                    assert r == DigitString(r.preperiod, r.period), (d, m, r)
+                    listed += 1
+    assert listed == 27056
 
 
 def test_census_of_a_long_continuum_peaks_small_and_keeps_nothing():
