@@ -93,6 +93,8 @@ class DigitString:
 
     def expand(self, n: int) -> tuple[int, ...]:
         """First n digits of the digit sequence (fewer if the word is finite)."""
+        if n < 0:
+            raise ValueError("digit count must be non-negative")
         if self.period is None or n <= len(self.preperiod):
             return self.preperiod[:n]
         laps = -((len(self.preperiod) - n) // len(self.period))  # ceil((n - len(pre)) / len(per))
@@ -136,9 +138,9 @@ def _numerator(word: Sequence[int], base: int) -> int:
     return acc
 
 
-def word_value(word: Sequence[int], base: int = BASE) -> Fraction:
-    """Value of a finite digit word: sum of digit_k * base**-k."""
-    return Fraction(_numerator(word, base), base ** len(word))
+def word_value(word: Sequence[int]) -> Fraction:
+    """Value of a finite digit word: sum of digit_k * 3**-k."""
+    return Fraction(_numerator(word, BASE), BASE ** len(word))
 
 
 def evaluate(d: DigitString, base: int = BASE) -> Fraction:
@@ -251,54 +253,71 @@ def cylinder_overlap(base: Sequence[int], i: int) -> Cylinder:
 # expansions of x are the infinite paths from n; every state has an out-edge.
 # The states at depth k are the lower state r = 3**k * n mod q and the upper
 # state r + q, which is a state only while 2r <= q; so one walk of the
-# remainders, t, r = divmod(3r, q), serves every path.  Lower -> upper reads
-# the digit t - 1, lower -> lower t, upper -> upper t + 2, upper -> lower 3.
+# remainders, `_walk`, serves every path, and every exact walker here and in
+# `series` reads its codes.  Lower -> upper reads the digit t - 1, lower ->
+# lower t, upper -> upper t + 2, upper -> lower 3.
 
-#: the edges (digit, 0 lower / 1 upper) out of the lower and out of the upper state of a level,
-#: by the level's t = 3r // q and whether the next level has an upper state, in digit order
-_EDGES = {(t, up): (((t - 1, 1),) * (t > 0 and up) + ((t, 0),),
-                    ((t + 2, 1),) * (t < 2 and up) + ((3, 0),) * (t == 0))
-          for t in range(3) for up in (False, True)}
-
-
-def _step(r: int, q: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """One level of the remainder walk: the next remainder 3r mod q, and the edges out of the lower
-    state r and the upper state r + q (read only where 2r <= q), from `_EDGES`."""
-    t, r = divmod(3 * r, q)
-    return r, _EDGES[t, 2 * r <= q]
+#: the edges (digit, 0 lower / 1 upper) out of the lower and out of the upper state of a level, by
+#: the level's code t + 3 * (the next level has an upper state) for t = 3r // q, in digit order
+_EDGES = tuple((((t - 1, 1),) * (t > 0 and up) + ((t, 0),),
+                ((t + 2, 1),) * (t < 2 and up) + ((3, 0),) * (t == 0))
+               for up in (False, True) for t in range(3))
 
 
-def _counts(n: int, q: int, m: int, cap: int | None = None) -> tuple[int, int]:
-    """The numbers of length-m paths from state n to the lower and the upper state at depth m.
-    Counts above `cap`, when given, are cut to it at every level, so they stay small where exact
-    ones would not."""
-    r, lo, up = n % q, int(n < q), int(n >= q)
-    for _ in range(m):
+def _walk(n: int, q: int, m: int) -> bytearray:
+    """The first m levels of the remainder walk from state n, one code per level: t + 3 * (2r' <= q)
+    for t, r' = divmod(3r, q), the level's t and whether the next level has an upper state."""
+    codes, r = bytearray(m), n % q
+    for k in range(m):
         t, r = divmod(3 * r, q)
-        if t:  # no edge from upper to lower; an upper state has t <= 1, so up is 0 at t = 2
-            up = lo + up if 2 * r <= q else 0
+        codes[k] = t + 3 * (2 * r <= q)
+    return codes
+
+
+def _period(n: int, q: int, cap: int | None = None) -> tuple[int, int]:
+    """The preperiod P and the period L of the remainders 3**k * n mod q: q = 3**P * q' with q'
+    prime to 3, and L counted by r -> 3r mod q from depth P on.  P + L past `cap`, when given,
+    raises ValueError before L is counted out."""
+    P, q1 = 0, q
+    while q1 % 3 == 0:
+        P, q1 = P + 1, q1 // 3
+    lo = r = 3 ** P * n % q
+    L = 0
+    while not L or r != lo:
+        if cap is not None and P + L >= cap:  # the period has more than L digits
+            raise ValueError(f"the largest expansion does not repeat within {cap} digits")
+        r, L = 3 * r % q, L + 1
+    return P, L
+
+
+def _counts(codes: bytearray, s: int, cap: int | None = None) -> tuple[int, int]:
+    """The numbers of paths over the levels' codes from the lower (s = 0) or the upper (s = 1) state
+    to the lower and the upper state at the end.  Counts above `cap`, when given, are cut to it at
+    every level, so they stay small where exact ones would not."""
+    lo, up = 1 - s, s
+    for code in codes:
+        if code % 3:  # no edge from upper to lower; an upper state has t <= 1, so up is 0 at t = 2
+            up = lo + up if code > 2 else 0
         else:
-            lo, up = lo + up, up if 2 * r <= q else 0
+            lo, up = lo + up, up if code > 2 else 0
         if cap:
             lo, up = min(lo, cap), min(up, cap)
     return lo, up
 
 
-def _paths(n: int, q: int, m: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """Each length-m path from state n as (digit word, 0 or 1: it ends on the lower or the upper
-    state, the depth where its final run on states of that kind starts), in lexicographic order,
-    spelled once each by one depth-first walk of the lower/upper flag over the levels' edges.  More
-    than `_WALK_STATES` paths (at most 2**m, so counted only past that) raise ValueError first."""
-    if 2 ** m > _WALK_STATES < sum(_counts(n, q, m, _WALK_STATES + 1)):
+def _paths(codes: bytearray, s: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """Each path over the levels' codes from the lower (s = 0) or the upper (s = 1) state as (digit
+    word, 0 or 1: it ends on the lower or the upper state, the depth where its final run on states
+    of that kind starts), in lexicographic order, spelled once each by one depth-first walk of the
+    lower/upper flag over the levels' edges.  More than `_WALK_STATES` paths (at most 2**m for m
+    levels, so counted only past that) raise ValueError first."""
+    m = len(codes)
+    if 2 ** m > _WALK_STATES < sum(_counts(codes, s, _WALK_STATES + 1)):
         raise ValueError(f"more than {_WALK_STATES} paths of length {m} to list")
-    levels, r = [], n % q
-    for _ in range(m):
-        r, edges = _step(r, q)
-        levels.append(edges)
-    found, word, todo, s, e = [], [], [], int(n >= q), 0
+    found, word, todo, e = [], [], [], 0
     while True:
         for k in range(len(word), m):  # follow the smaller digit, keep the other edge for later
-            edges = levels[k][s]
+            edges = _EDGES[codes[k]][s]
             if len(edges) > 1:
                 c, t = edges[1]
                 todo.append((k, c, t, e if t == s else k + 1))
@@ -314,10 +333,20 @@ def _paths(n: int, q: int, m: int) -> list[tuple[tuple[int, ...], int, int]]:
         word.append(c)
 
 
+def _largest(codes: bytearray, upper: bool) -> tuple[int, ...]:
+    """The digits of the largest path over the levels' codes from the lower or the upper state.  A
+    lower state takes t and stays lower.  An upper state takes 3 and stays upper exactly when
+    t = 1: it has t <= 1, and at t = 1 the next level always has an upper state.  So the 3s run
+    to the first t = 0, whose step into the lower state reads 3 too."""
+    ts = bytes(code % 3 for code in codes)
+    k = (ts.find(0) + 1 or len(ts)) if upper else 0
+    return (3,) * k + tuple(ts[k:])
+
+
 #: the text of a number from outside: ASCII 'a/b' or a decimal, an optional sign, no whitespace
 _NUMBER = re.compile(r"[-+]?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d{1,4})?)", re.ASCII)
 _SUM_TOL = 1e-12  # accepted drift from 1 of a sum of weights when one of them is inexact
-_WALK_STATES = 2 ** 17  # most states largest_expansion walks (1/10**6: 50000), most paths a listing spells
+_WALK_STATES = 2 ** 17  # most digits in largest_expansion's P + L (1/10**6: 50000), most paths listed
 
 
 def _fraction(x) -> Fraction:
@@ -355,30 +384,16 @@ def _state(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def _largest_walk(n: int, q: int):
-    """The largest-digit walk from state n, without end: each step yields (c, 3n - c*q)
-    for the largest admissible digit c = min(3, floor(3n/q))."""
-    while True:
-        c = min(MAX_DIGIT, 3 * n // q)
-        n = 3 * n - c * q
-        yield c, n
-
-
 def largest_expansion(x) -> DigitString:
-    """The lexicographically largest expansion of x in [0, 3/2], spelled by the largest-digit walk
-    of the residual graph.  Its states are integers in [0, 3q/2] for the denominator q of x, so
-    one repeats, and the digits since its first visit are the repeating block.  A walk that meets
-    more than `_WALK_STATES` states with no repeat raises ValueError."""
+    """The lexicographically largest expansion of x in [0, 3/2], spelled by `_largest` over the
+    remainder walk's preperiod P and period L.  A path still on an upper state at depth P + L has
+    read t = 1 over a whole period, so it stays there; so P + 2L levels spell the expansion, and
+    the last L repeat.  P + L past `_WALK_STATES` raises ValueError."""
     n, q = _state(x)
-    seen, word = {n: 0}, []  # state -> the number of digits read before it
-    for c, n in _largest_walk(n, q):
-        word.append(c)
-        if n in seen:
-            break
-        if len(seen) == _WALK_STATES:
-            raise ValueError(f"the largest expansion does not repeat within {_WALK_STATES} digits")
-        seen[n] = len(word)
-    return DigitString(tuple(word[:seen[n]]), tuple(word[seen[n]:]))
+    P, L = _period(n, q, _WALK_STATES)
+    codes = _walk(n, q, P + L)
+    word = _largest(codes + codes[P:], n >= q)
+    return DigitString(word[:P + L], word[P + L:])
 
 
 def admissible_prefixes(x, m: int) -> list[tuple[int, ...]]:
@@ -386,7 +401,7 @@ def admissible_prefixes(x, m: int) -> list[tuple[int, ...]]:
     n, q = _state(x)
     if m < 1:
         raise ValueError("prefix length must be positive")
-    return [word for word, _, _ in _paths(n, q, m)]
+    return [word for word, _, _ in _paths(_walk(n, q, m), int(n >= q))]
 
 
 def count_expansion_prefixes(x, m: int) -> int:
@@ -394,7 +409,7 @@ def count_expansion_prefixes(x, m: int) -> int:
     n, q = _state(x)
     if m < 0:
         raise ValueError("depth must be non-negative")
-    return sum(_counts(n, q, m))
+    return sum(_counts(_walk(n, q, m), int(n >= q)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +458,16 @@ def _census(d: DigitString) -> tuple[ReprCardinality, Callable[[int], list[Digit
         raise ValueError("classification needs an eventually periodic digit string")
     n0, q = _state(evaluate(d))
     least = len(d.preperiod)  # the shallowest depth a listing takes
-    # The states at depth k are r = 3**k * n0 mod q (lower) and r + q (upper); with q = 3**P * q' and
-    # q' prime to 3 the remainders repeat from k = P on.  r -> 3r mod q, of digit 3r // q, is always an
-    # edge, so the lower states make a cycle.
-    P, q1 = 0, q
-    while q1 % 3 == 0:
-        P, q1 = P + 1, q1 // 3
-    lo = r = 3 ** P * n0 % q
-    block = bytearray()  # the lower cycle's digits from lo
-    while r != lo or not block:
-        t, r = divmod(3 * r, q)
-        block.append(t)
-    L = len(block)
-    w0, w1 = _counts(n0, q, P)  # the paths of length P, to the lower and the upper state
+    # r -> 3r mod q, of digit 3r // q, is always an edge, so the lower states from depth P make a cycle.
+    P, L = _period(n0, q)
+    codes = _walk(n0, q, P + L)
+    w0, w1 = _counts(codes[:P], int(n0 >= q))  # the paths of length P, to the lower and the upper state
     # M = ((a, b), (c, d)): the length-L paths from the lower or the upper state at depth P to the lower
     # and the upper one, cut at 2.  Short of a continuum each is 0 or 1: a run of upper states is
-    # entered from the lower cycle and, short of the whole period, left back to it, so two paths
-    # would make two cycles.
-    (a, b), (c, d) = _counts(lo, q, L, 2), _counts(lo + q, q, L, 2) if 2 * lo <= q else (0, 0)
+    # entered from the lower cycle and, short of the whole period, left back to it, so two paths would
+    # make two cycles.  Depth P has an upper state exactly when depth P + L has one; with none, the
+    # upper row is never read and not counted.
+    (a, b), (c, d) = _counts(codes[P:], 0, 2), _counts(codes[P:], 1, 2) if codes[-1] > 2 else (0, 0)
     r0, r1 = w0 or (w1 and c), w1 or (w0 and b)  # the lower and the upper state at depth P are reached
     cycles = {}  # the block of each cycle, by 0 or 1: the lower or the upper states
     if (r0 and a * a + b * c > 1) or (r1 and c * b + d * d > 1):  # two closed walks in M^2
@@ -474,9 +481,9 @@ def _census(d: DigitString) -> tuple[ReprCardinality, Callable[[int], list[Digit
                 else ReprCardinality(Cardinality.FINITE, once))
         # an upper state's cycle never meets a lower state, which would put it beside the lower cycle
         if r0 and a:
-            cycles[0] = tuple(block)
+            cycles[0] = tuple(code % 3 for code in codes[P:])
         if r1 and d:
-            cycles[1] = tuple(t + 2 for t in block)
+            cycles[1] = tuple(code % 3 + 2 for code in codes[P:])
 
     def expand(m: int) -> list[DigitString]:
         """Each length-m path that ends on a cycle, spelled as its digits before its final run on
@@ -494,7 +501,7 @@ def _census(d: DigitString) -> tuple[ReprCardinality, Callable[[int], list[Digit
         if m < least:
             raise ValueError("depth must cover the preperiod")
         found = []
-        for w, h, e in _paths(n0, q, m):
+        for w, h, e in _paths(_walk(n0, q, m), int(n0 >= q)):
             if h in cycles:
                 e = max(e, P)
                 i, per = (e - P) % L, cycles[h]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from tern4.digits import DigitString, _largest_walk, _state, word_value
+from tern4.digits import DigitString, _largest, _state, _walk, word_value
 
 
 def series_term(n: int) -> Fraction:
@@ -59,18 +59,18 @@ def greedy_approximate(x, n_max: int) -> tuple[int, ...]:
     """Greedy selector hitting x from below: take u_n whenever the sum stays <= x.
 
     The tie rule is <=, so finite subsums are attained exactly; otherwise the
-    gap is at most r_{n_max}.  This is the largest-digit walk y -> 3y - c of
-    the residual graph, in integers (y = r/b for x = a/b): the g <= 3 terms
-    of group k are 3**-k each, so from the residual y of the first k - 1
-    groups the greedy takes d = min(g, floor(3y)) of them, then g - d zeros.
-    That is min(g, c) for the walk's digit c = min(3, floor(3y)), and 3y - c
-    is the next residual.
+    gap is at most r_{n_max}.  This is the largest path y -> 3y - c of the
+    residual graph (y = r/b for x = a/b), read from its remainder walk: the
+    g <= 3 terms of group k are 3**-k each, so from the residual y of the
+    first k - 1 groups the greedy takes d = min(g, floor(3y)) of them, then
+    g - d zeros.  That is min(g, c) for the path's digit c = min(3, floor(3y)),
+    and 3y - c is the next residual.
     """
     a, b = _state(x)
     if n_max < 1:
         raise ValueError("n_max must be positive")
     bits: list[int] = []
-    for n, (c, _) in zip(range(0, n_max, 3), _largest_walk(a, b)):
+    for n, c in zip(range(0, n_max, 3), _largest(_walk(a, b, -(-n_max // 3)), a >= b)):
         g = min(3, n_max - n)
         d = min(g, c)
         bits += (1,) * d + (0,) * (g - d)

@@ -476,7 +476,8 @@ def test_series_flags_mutually_exclusive(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("value, text", [("245/648", "1010(12)"), ("3/2", "(3)"), ("0/1", "(0)")])
+@pytest.mark.parametrize("value, text", [("245/648", "1010(12)"), ("3/2", "(3)"), ("0/1", "(0)"),
+                                         ("4/3", "33(0)"), ("11/8", "33(10)")])
 def test_repr_of_a_value_is_repr_of_its_largest_expansion(capsys, value, text):
     code, out, err = run(capsys, "repr", value)
     assert code == 0 and err == ""
@@ -680,6 +681,7 @@ PINNED_STDOUT = [
     (("repr", "1/1000"), "5781003455b131f8a3c43dd2c29ce45734bbdd73"),        # continuum, period 100
     (("repr", "03" * 8 + "(12)"), "09c50c290813426befdc7ccf094a0b77fb067aa9"),  # 1,597 members
     (("levelset", "03" * 8 + "(12)"), "31ff45b7fd17d2ed4cc5a2b1edd94fa848c1dd5b"),
+    (("repr", "4/3"), "f2fdfadd9686064351ae569389fda2a18a562a42"),         # README's upper-state start
 ]
 
 

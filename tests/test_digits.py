@@ -54,6 +54,7 @@ def test_parse_rejects(bad):
     lambda: D.count_expansion_prefixes(F(1, 2), -1),
     lambda: ReprCardinality(Cardinality.FINITE, 1),
     lambda: ReprCardinality(Cardinality.UNIQUE, 3),
+    lambda: D.parse("12(3)").expand(-1),
 ])
 def test_refusals_raise_value_error(call):
     with pytest.raises(ValueError):
@@ -327,8 +328,8 @@ def test_admissible_prefixes_rejects_out_of_range():
 def _edges(n, q):
     """The edges (c, 3n - cq) of state n over q, in digit order, read off one level of the
     remainder walk: n is the lower state of n mod q, or its upper state when n >= q."""
-    r, edges = D._step(n % q, q)
-    return [(c, r + up * q) for c, up in edges[n >= q]]
+    r, edges = 3 * n % q, D._EDGES[D._walk(n, q, 1)[0]][n >= q]
+    return [(c, r + up * q) for c, up in edges]
 
 
 def test_graph_edges_match_the_four_digit_filter_exhaustive():
@@ -380,6 +381,54 @@ def test_largest_expansion_is_the_last_admissible_prefix_exhaustive():
     assert str(D.largest_expansion(F(245, 648))) == "1010(12)"
     with pytest.raises(ValueError):
         D.largest_expansion(F(8, 5))
+
+
+def _numerator_walk(n, q):
+    """The largest-digit walk of the residual graph over numerators, apart from the remainder
+    walk: from state n it yields (c, 3n - cq) for the largest admissible digit
+    c = min(3, floor(3n/q)), without end."""
+    while True:
+        c = min(3, 3 * n // q)
+        n = 3 * n - c * q
+        yield c, n
+
+
+def _walked_largest_expansion(x):
+    """The largest expansion of x read off `_numerator_walk` with a dict of the states met: the
+    digits since the first visit of the state that repeats are the block."""
+    n, q = x.numerator, x.denominator
+    seen, word = {n: 0}, []
+    for c, n in _numerator_walk(n, q):
+        word.append(c)
+        if n in seen:
+            return DigitString(tuple(word[:seen[n]]), tuple(word[seen[n]:]))
+        seen[n] = len(word)
+
+
+def test_largest_expansion_against_the_numerator_walk_exhaustive():
+    values = [F(a, q) for q in range(1, 301) for a in range(3 * q // 2 + 1) if gcd(a, q) == 1]
+    assert len(values) == 41098
+    for x in values:
+        assert D.largest_expansion(x) == _walked_largest_expansion(x), x
+
+
+def test_largest_expansion_refuses_exactly_past_preperiod_plus_period(monkeypatch):
+    # P and L of 3**k * a mod q, found apart from the library by the first remainder that repeats
+    monkeypatch.setattr(D, "_WALK_STATES", 8)
+    refusal, refused = "^the largest expansion does not repeat within 8 digits$", 0
+    for q in range(1, 200):
+        for a in range(3 * q // 2 + 1):
+            if gcd(a, q) == 1:
+                seen, r = {}, a % q
+                while r not in seen:
+                    seen[r], r = len(seen), 3 * r % q
+                if len(seen) > 8:
+                    refused += 1
+                    with pytest.raises(ValueError, match=refusal):
+                        D.largest_expansion(F(a, q))
+                else:
+                    assert D.largest_expansion(F(a, q)) == _walked_largest_expansion(F(a, q))
+    assert refused > 0
 
 
 def test_largest_expansion_refuses_a_walk_past_its_state_cap():

@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
-from test_digits import _edges
+from test_digits import _edges, _numerator_walk
 from tern4 import digits as D
 from tern4 import fractal as Fr
 
@@ -219,7 +219,7 @@ def _walk_enters_a_branching_cell(x):
     """Whether the largest-digit walk of x meets [1/3, 1/2], [2/3, 5/6] or [1, 7/6]."""
     n, q = x.numerator, x.denominator
     seen = {n}
-    for _, n in D._largest_walk(n, q):
+    for _, n in _numerator_walk(n, q):
         if n in seen:
             break
         seen.add(n)

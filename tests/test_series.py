@@ -7,6 +7,7 @@ from itertools import accumulate
 
 import pytest
 
+from test_digits import _numerator_walk
 from tern4 import digits as D
 from tern4 import measure as M
 from tern4 import series as S
@@ -160,6 +161,19 @@ def test_integer_greedy_and_subsum_match_fraction_reference_exhaustive():
             bits = S.greedy_approximate(x, n_max)
             assert bits == ref[:n_max], (x, n_max)
             assert S.subsum(bits) == ref_sums[n_max], (x, n_max)
+
+
+def test_greedy_takes_the_numerator_walks_digits_exhaustive():
+    # group k of the selector is min(g, c_k) ones, then zeros, for the k-th digit c_k of the
+    # largest-digit walk over numerators and the g <= 3 terms of the group
+    for q in range(1, 121):
+        for a in range(3 * q // 2 + 1):
+            for n_max in (1, 2, 3, 10, 30, 31):
+                expected = ()
+                for n, (c, _) in zip(range(0, n_max, 3), _numerator_walk(a, q)):
+                    g = min(3, n_max - n)
+                    expected += (1,) * min(g, c) + (0,) * (g - min(g, c))
+                assert S.greedy_approximate(F(a, q), n_max) == expected, (a, q, n_max)
 
 
 def test_subsum_matches_fraction_reference_on_random_bits():
