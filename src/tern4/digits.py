@@ -12,6 +12,7 @@ how many expansions a number has.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -253,9 +254,9 @@ def cylinder_overlap(base: Sequence[int], i: int) -> Cylinder:
 # expansions of x are the infinite paths from n; every state has an out-edge.
 # The states at depth k are the lower state r = 3**k * n mod q and the upper
 # state r + q, which is a state only while 2r <= q; so one walk of the
-# remainders, `_walk`, serves every path, and every exact walker here and in
-# `series` reads its codes.  Lower -> upper reads the digit t - 1, lower ->
-# lower t, upper -> upper t + 2, upper -> lower 3.
+# remainders, `_walk`, serves every path, and every exact walker here, in `series`
+# and in the CDF's period solve in `measure` reads its codes.  Lower -> upper reads
+# the digit t - 1, lower -> lower t, upper -> upper t + 2, upper -> lower 3.
 
 #: the edges (digit, 0 lower / 1 upper) out of the lower and out of the upper state of a level, by
 #: the level's code t + 3 * (the next level has an upper state) for t = 3r // q, in digit order
@@ -274,15 +275,21 @@ def _walk(n: int, q: int, m: int) -> bytearray:
     return codes
 
 
-def _period(n: int, q: int, cap: int | None = None) -> tuple[int, int]:
-    """The preperiod P and the period L of the remainders 3**k * n mod q: q = 3**P * q' with q'
-    prime to 3, and L counted by r -> 3r mod q from depth P on.  P + L past `cap`, when given,
-    raises ValueError before L is counted out."""
-    P, q1 = 0, q
+def _preperiod(n: int, q: int) -> tuple[int, int]:
+    """The preperiod P of the remainders 3**k * n mod q, the threes of q / gcd(n, q) (n/q may be
+    unreduced), and lo at depth P: none before it is on the cycle, so lo is the first repeat."""
+    P, q1 = 0, q // math.gcd(n, q)
     while q1 % 3 == 0:
         P, q1 = P + 1, q1 // 3
-    lo = r = 3 ** P * n % q
-    L = 0
+    return P, 3 ** P * n % q
+
+
+def _period(n: int, q: int, cap: int | None = None) -> tuple[int, int]:
+    """The preperiod P of `_preperiod` and the period L of the remainders 3**k * n mod q, counted by
+    r -> 3r mod q from depth P on.  P + L past `cap`, when given, raises ValueError before L is
+    counted out."""
+    P, lo = _preperiod(n, q)
+    r, L = lo, 0
     while not L or r != lo:
         if cap is not None and P + L >= cap:  # the period has more than L digits
             raise ValueError(f"the largest expansion does not repeat within {cap} digits")

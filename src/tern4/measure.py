@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 
 from tern4 import fractal
-from tern4.digits import _fraction, _inexact, _sums_to_one, word_value
+from tern4.digits import _fraction, _inexact, _preperiod, _sums_to_one, _walk, word_value
 
 THIRD = Fraction(1, 3)
 _MATCH_TOL = 1e-9    # tolerance of condition checks for inexact inputs
@@ -224,13 +224,13 @@ def cdf(p: ProbVector, x, tol: float) -> tuple[Fraction, Fraction]:
     outside 0..3, and F(1) = (p0 + p1) / (1 - p2).  For x = i + f, one pass over
     the digits of f = n/q keeps r >= 0 and s with F(x) = r . V(f_k) + s after k
     digits; F increases, so lo = s + r1 F(1) and hi = s + r0 F(1) + r1 are F at
-    the two depth-k ternary rationals around x.  A repeated remainder closes a
-    period, whose maps give V = P V + beta there; the rows of [P | beta] are the
-    same digit walk from that remainder, started at the unit rows (1, 0, 0) and
-    (0, 1, 0).  Cramer's rule then gives lo = hi = F(x).
-    The pass ends, as all p_c < 1 make F continuous (hi - lo tends to 0) and a
-    rational's remainder repeats within q steps.  Integer arithmetic: no rounding.
-    This is `cdf_grid` at the single point x.
+    the two depth-k ternary rationals around x.  The first repeated remainder,
+    at depth P + L (f's ternary preperiod and period), closes a period whose
+    maps give V = M V + beta there; both rows of [M | beta] take the maps of one
+    walk over its digits, from the unit rows (1, 0, 0) and (0, 1, 0), and
+    Cramer's rule gives lo = hi = F(x).  The pass ends, as all p_c < 1 make F
+    continuous (hi - lo tends to 0) and a rational's remainder repeats within q
+    steps.  Integer arithmetic: no rounding.  This is `cdf_grid` at the single point x.
     """
     return next(cdf_grid(p, (x,), tol))
 
@@ -253,31 +253,18 @@ def cdf_grid(p: ProbVector, xs, tol: float):
 def _cdf_point(p: ProbVector, tol: float):
     """point(n, q) -> (lo, hi, den), cdf(p, n/q, tol) as (lo/den, hi/den): its digit pass and
     period solve in integers.  D, the integer weights D * p_c, their partial sums, F(1) and the
-    integers of tol are made once, and a bad tolerance raises ValueError at once.  The rows of a
-    period's [P | beta] are the walk from the repeated remainder, started at the unit rows.  q > 0
+    integers of tol (read by `digits._fraction` unless a float) are made once, and a bad tolerance
+    raises ValueError at once.  The pass stops where `digits._preperiod` puts the first repeat.  q > 0
     need not be reduced: with g = gcd(n, q) each remainder is g times the reduced one, so the
     digits, the repeat positions and the returned integers are the same."""
+    tol = tol if type(tol) is float else _fraction(tol)
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
-    tol_num, tol_den = (tol if type(tol) is float else Fraction(tol)).as_integer_ratio()
+    tol_num, tol_den = tol.as_integer_ratio()
     D = math.lcm(*(v.denominator for v in p.probs))
     w = [0] + [v.numerator * (D // v.denominator) for v in p.probs] + [0, 0]  # w[c + 1] = D * p_c
     below = [sum(w[:j]) for j in range(len(w))]  # below[t] = D * sum_{c <= t-2} p_c
     f1_num, f1_den = w[1] + w[2], D - w[3]  # F(1), and 1 - F(1) = w[4] / f1_den
-
-    def walk(n: int, q: int, r0: int, r1: int, s: int, den: int, tol_num: int):
-        """Read the digits of n/q into (r0, r1, s) -> D (r A_t, s + r . b_t) and den -> D den, until the
-        width (hi - lo) * den meets tol_num / tol_den (then m = None) or a remainder m comes back."""
-        seen = set()
-        while n not in seen:
-            if (r0 * f1_num + r1 * w[4]) * tol_den <= tol_num * den:
-                return r0, r1, s, den, None
-            seen.add(n)
-            t, n = divmod(3 * n, q)
-            r0, r1, s = (r0 * w[t + 1] + r1 * w[t + 4], r0 * w[t] + r1 * w[t + 3],
-                         s * D + r0 * below[t] + r1 * below[t + 3])
-            den *= D
-        return r0, r1, s, den, n
 
     def point(n: int, q: int) -> tuple[int, int, int]:
         if n <= 0:
@@ -285,15 +272,28 @@ def _cdf_point(p: ProbVector, tol: float):
         if 2 * n >= 3 * q:  # x >= 3/2
             return 1, 1, 1
         i, n = divmod(n, q)
-        # after k digits F(x) = (r0 F(n/q) + r1 F(n/q + 1) + s) / D**k, and den = f1_den * D**k
-        r0, r1, s, den, m = walk(n, q, 1 - i, i, 0, f1_den, tol_num)
-        if m is None:
-            lo = s * f1_den + r1 * f1_num
-            return lo, lo + r0 * f1_num + r1 * w[4], den
-        # m came back after E = D**L: V(m/q) = (P V(m/q) + beta) / E, the rows walked from m
-        a, b, beta0, E, _ = walk(m, q, 1, 0, 0, 1, -1)  # a width >= 0 never meets tol -1
-        c, d, beta1, _, _ = walk(m, q, 0, 1, 0, 1, -1)
-        det = (E - a) * (E - d) - b * c  # of E I - P
+        P, m = _preperiod(n, q)
+        # after k digits F(x) = (r0 F(n/q) + r1 F(n/q + 1) + s) / D**k, and den = f1_den * D**k; digit
+        # t maps (r0, r1, s) -> D (r A_t, s + r . b_t) until (hi - lo) * den meets tol or k = P + L
+        r0, r1, s, den, k = 1 - i, i, 0, f1_den, 0
+        while n != m or k <= P:
+            if (r0 * f1_num + r1 * w[4]) * tol_den <= tol_num * den:
+                lo = s * f1_den + r1 * f1_num
+                return lo, lo + r0 * f1_num + r1 * w[4], den
+            t, n = divmod(3 * n, q)
+            r0, r1, s = (r0 * w[t + 1] + r1 * w[t + 4], r0 * w[t] + r1 * w[t + 3],
+                         s * D + r0 * below[t] + r1 * below[t + 3])
+            den, k = den * D, k + 1
+        # m came back: V(m/q) = (M V(m/q) + beta) / E, E = D**L; [M | beta]'s rows start as unit rows
+        a, b, beta0, c, d, beta1 = 1, 0, 0, 0, 1, 0
+        for code in _walk(m, q, k - P):
+            t = code % 3
+            a, b, beta0 = (a * w[t + 1] + b * w[t + 4], a * w[t] + b * w[t + 3],
+                           beta0 * D + a * below[t] + b * below[t + 3])
+            c, d, beta1 = (c * w[t + 1] + d * w[t + 4], c * w[t] + d * w[t + 3],
+                           beta1 * D + c * below[t] + d * below[t + 3])
+        E = D ** (k - P)
+        det = (E - a) * (E - d) - b * c  # of E I - M
         v0 = beta0 * (E - d) + b * beta1  # V(m/q) = (v0, v1) / det
         v1 = beta1 * (E - a) + c * beta0
         value = r0 * v0 + r1 * v1 + s * det

@@ -682,6 +682,8 @@ PINNED_STDOUT = [
     (("repr", "03" * 8 + "(12)"), "09c50c290813426befdc7ccf094a0b77fb067aa9"),  # 1,597 members
     (("levelset", "03" * 8 + "(12)"), "31ff45b7fd17d2ed4cc5a2b1edd94fa848c1dd5b"),
     (("repr", "4/3"), "f2fdfadd9686064351ae569389fda2a18a562a42"),         # README's upper-state start
+    (("cdf", "1/4", "1/4", "1/4", "1/4", "--grid", "11", "--tol", "1e-300"),
+     "20b0b88b5e8988f170545dfb47474f7480702481"),  # README's exact grid: every period solved
 ]
 
 

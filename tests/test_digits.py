@@ -431,6 +431,22 @@ def test_largest_expansion_refuses_exactly_past_preperiod_plus_period(monkeypatc
     assert refused > 0
 
 
+def test_preperiod_and_period_against_the_first_repeat_exhaustive():
+    # the first remainder of 3**k * n mod q that comes back, with the depth it first had, found
+    # by a dict from remainder to depth; n = 0 and unreduced n/q included
+    pairs = 0
+    for q in range(1, 301):
+        for n in range(q):
+            depth, r = {}, n
+            while r not in depth:
+                depth[r], r = len(depth), 3 * r % q
+            P, lo = D._preperiod(n, q)
+            assert (P, lo) == (depth[r], r), (n, q)
+            assert sum(D._period(n, q)) == len(depth), (n, q)
+            pairs += 1
+    assert pairs == 45150
+
+
 def test_largest_expansion_refuses_a_walk_past_its_state_cap():
     # the period grows with q: 50000 digits at 1/10**6, under the cap; 500000 at 1/10**7, past it
     assert len(D.largest_expansion(F(1, 10 ** 6)).period) == 50000 < D._WALK_STATES

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -733,10 +734,17 @@ def test_cdf_rejects_bad_tolerance():
         M.cdf(pv("1/4", "1/4", "1/4", "1/4"), F(1, 2), 0.0)
 
 
-@pytest.mark.parametrize("tol", [-1e-4, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [-1e-4, math.nan, math.inf,
+                                 *(pytest.param(t, id=repr(t)) for t in ("abc", "nan", "-1e-4"))])
 def test_cdf_rejects_non_positive_or_non_finite_tolerance(tol):
     with pytest.raises(ValueError):
         M.cdf(pv("1/4", "1/4", "1/4", "1/4"), F(1, 2), tol)
+
+
+def test_cdf_reads_a_text_tolerance_through_the_number_grammar():
+    p = pv("1/2", "1/4", "1/4", "0")
+    for x in (F(1, 7), 0.3, F(5, 4)):
+        assert M.cdf(p, x, "1e-4") == M.cdf(p, x, F(1, 10 ** 4))
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
@@ -868,6 +876,87 @@ def test_cdf_grid_equals_cdf_bit_for_bit():
             got = list(M.cdf_grid(p, xs, tol))
             assert got == [M.cdf(p, x, tol) for x in xs], vals
             assert all(type(v) is F for pair in got for v in pair)
+
+
+def _reference_cdf_point(p, tol):
+    """A reference for `_cdf_point`, made differently: the pass keeps a set of every remainder it
+    read and stops when one comes back, and each row of the period's [M | beta] is a second walk
+    from that remainder, with the tolerance test switched off by a width bound of -1."""
+    tol_num, tol_den = F(tol).as_integer_ratio()
+    D = math.lcm(*(v.denominator for v in p.probs))
+    w = [0] + [v.numerator * (D // v.denominator) for v in p.probs] + [0, 0]
+    below = [sum(w[:j]) for j in range(len(w))]
+    f1_num, f1_den = w[1] + w[2], D - w[3]
+
+    def walk(n, q, r0, r1, s, den, tol_num):
+        seen = set()
+        while n not in seen:
+            if (r0 * f1_num + r1 * w[4]) * tol_den <= tol_num * den:
+                return r0, r1, s, den, None
+            seen.add(n)
+            t, n = divmod(3 * n, q)
+            r0, r1, s = (r0 * w[t + 1] + r1 * w[t + 4], r0 * w[t] + r1 * w[t + 3],
+                         s * D + r0 * below[t] + r1 * below[t + 3])
+            den *= D
+        return r0, r1, s, den, n
+
+    def point(n, q):
+        if n <= 0:
+            return 0, 0, 1
+        if 2 * n >= 3 * q:
+            return 1, 1, 1
+        i, n = divmod(n, q)
+        r0, r1, s, den, m = walk(n, q, 1 - i, i, 0, f1_den, tol_num)
+        if m is None:
+            lo = s * f1_den + r1 * f1_num
+            return lo, lo + r0 * f1_num + r1 * w[4], den
+        a, b, beta0, E, _ = walk(m, q, 1, 0, 0, 1, -1)
+        c, d, beta1, _, _ = walk(m, q, 0, 1, 0, 1, -1)
+        det = (E - a) * (E - d) - b * c
+        v0 = beta0 * (E - d) + b * beta1
+        v1 = beta1 * (E - a) + c * beta0
+        value = r0 * v0 + r1 * v1 + s * det
+        return value, value, den // f1_den * det
+
+    return point
+
+
+def test_cdf_point_stops_where_the_reference_walk_stops():
+    # all three integers: a bracket stops at the same digit, and a period is solved on the same rows
+    quarters = {tuple(F(k, d) for k in ks) for d in range(2, 5)
+                for ks in itertools.product(range(d), repeat=4) if sum(ks) == d}
+    laws = sorted(quarters | {tuple(map(F, vals)) for vals in _EXHAUSTIVE_LAWS})
+    assert len(laws) == 48
+    rng = random.Random(28)
+    calls = 0
+    for vals in laws:
+        p = ProbVector(*vals)
+        floats = [F(rng.uniform(-0.1, 1.6)) for _ in range(20)]
+        args = [(g * n, g * q) for q in range(1, 31) for n in range(-1, 3 * q // 2 + 2) for g in (1, 2)]
+        args += [(x.numerator, x.denominator) for x in floats]
+        for tol in (0.5, 1e-4, 1e-12, 1e-300):
+            point, reference = M._cdf_point(p, tol), _reference_cdf_point(p, tol)
+            for n, q in args:
+                assert point(n, q) == reference(n, q), (vals, tol, n, q)
+            calls += len(args)
+    assert calls == 48 * 4 * 1580
+
+
+def test_cdf_tolerance_pass_keeps_no_state_per_digit():
+    # a float x of the uniform law at tol 1e-300 reads about 600 digits and never repeats a
+    # remainder; the pass holds a few integers, not the remainders it has read
+    p = pv("1/4", "1/4", "1/4", "1/4")
+    point = M._cdf_point(p, 1e-300)
+    n, q = (0.1).as_integer_ratio()
+    lo, hi, den = point(n, q)
+    assert lo < hi and (den // 3).bit_length() - 1 >= 2 * 500  # den = 3 * 4**k after k digits
+    tracemalloc.start()
+    try:
+        point(n, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024, peak
 
 
 @given(st.sampled_from(_EXHAUSTIVE_LAWS), st.sampled_from([1e-2, 1e-4, 1e-300]),
