@@ -22,22 +22,20 @@ SCHEMA = 1
 
 
 def _dec(v) -> float:
-    """Decimal form rounded to 15 significant digits, for JSON; a Fraction by one integer
-    division, as float()."""
-    if type(v) is Fraction:  # not isinstance: Fraction's ABCMeta check is slow for the many floats
-        v = v.numerator / v.denominator
-    return float(f"{v:.15g}")
+    """Decimal form rounded to 15 significant digits, for JSON: the float of `_num`'s text."""
+    return float(_num(v))
 
 
 def _num(v) -> str:
-    """repr(_dec(v)), the CSV field of a number, with one formatting call where it can.
+    """repr(_dec(v)), the CSV field of a number, with one formatting call where it can.  A Fraction
+    is read by one integer division, as float().
 
     A decimal of at most 15 significant digits is the only one of that length that rounds to
     its double (DBL_DIG = 15), so repr's shortest digits are those of %.15g and only the layout
     can differ: repr adds ".0" to a whole number, writes [1e15, 1e16) in fixed form and may
     shorten a subnormal.  Those, inf and nan take the slow path.
     """
-    if type(v) is Fraction:
+    if type(v) is Fraction:  # not isinstance: Fraction's ABCMeta check is slow for the many floats
         v = v.numerator / v.denominator
     s = f"{v:.15g}"
     if "e+" in s or "n" in s or (v and abs(v) < 1e-300):  # >= 1e15, inf, nan, near-subnormal

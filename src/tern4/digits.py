@@ -312,15 +312,20 @@ def _counts(codes: bytearray, s: int, cap: int | None = None) -> tuple[int, int]
     return lo, up
 
 
-def _paths(codes: bytearray, s: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """Each path over the levels' codes from the lower (s = 0) or the upper (s = 1) state as (digit
-    word, 0 or 1: it ends on the lower or the upper state, the depth where its final run on states
-    of that kind starts), in lexicographic order, spelled once each by one depth-first walk of the
-    lower/upper flag over the levels' edges.  More than `_WALK_STATES` paths (at most 2**m for m
-    levels, so counted only past that) raise ValueError first."""
-    m = len(codes)
-    if 2 ** m > _WALK_STATES < sum(_counts(codes, s, _WALK_STATES + 1)):
-        raise ValueError(f"more than {_WALK_STATES} paths of length {m} to list")
+def _paths(n: int, q: int, m: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """Each length-m path from state n as (digit word, 0 or 1: it ends on the lower or the upper
+    state, the depth where its final run on states of that kind starts), in lexicographic order,
+    spelled once each by one depth-first walk of the lower/upper flag over the levels' edges.  A
+    depth past `_LISTED_DIGITS` raises ValueError before the walk; more than `_WALK_STATES` paths,
+    or more than `_LISTED_DIGITS` digits over them, raise it before any word is spelled (there are
+    at most 2**m paths, so they are counted only past that)."""
+    if m > _LISTED_DIGITS:
+        raise ValueError(f"depth {m} is past the {_LISTED_DIGITS} digits a listing may spell")
+    codes, s = _walk(n, q, m), int(n >= q)
+    most = min(_WALK_STATES, _LISTED_DIGITS // max(m, 1))  # the paths both bounds let through
+    if 2 ** m > most < sum(_counts(codes, s, most + 1)):
+        raise ValueError(f"more than {most} paths of length {m} to list: the bounds are "
+                         f"{_WALK_STATES} paths and {_LISTED_DIGITS} digits")
     found, word, todo, e = [], [], [], 0
     while True:
         for k in range(len(word), m):  # follow the smaller digit, keep the other edge for later
@@ -354,6 +359,7 @@ def _largest(codes: bytearray, upper: bool) -> tuple[int, ...]:
 _NUMBER = re.compile(r"[-+]?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d{1,4})?)", re.ASCII)
 _SUM_TOL = 1e-12  # accepted drift from 1 of a sum of weights when one of them is inexact
 _WALK_STATES = 2 ** 17  # most digits in largest_expansion's P + L (1/10**6: 50000), most paths listed
+_LISTED_DIGITS = 2 ** 20  # most digits a listing spells, its paths times their length
 
 
 def _fraction(x) -> Fraction:
@@ -408,7 +414,7 @@ def admissible_prefixes(x, m: int) -> list[tuple[int, ...]]:
     n, q = _state(x)
     if m < 1:
         raise ValueError("prefix length must be positive")
-    return [word for word, _, _ in _paths(_walk(n, q, m), int(n >= q))]
+    return [word for word, _, _ in _paths(n, q, m)]
 
 
 def count_expansion_prefixes(x, m: int) -> int:
@@ -508,7 +514,7 @@ def _census(d: DigitString) -> tuple[ReprCardinality, Callable[[int], list[Digit
         if m < least:
             raise ValueError("depth must cover the preperiod")
         found = []
-        for w, h, e in _paths(_walk(n0, q, m), int(n0 >= q)):
+        for w, h, e in _paths(n0, q, m):
             if h in cycles:
                 e = max(e, P)
                 i, per = (e - P) % L, cycles[h]

@@ -36,41 +36,27 @@ def _checked_digit_set(digit_set: Iterable[int], base: int) -> tuple[int, ...]:
     return V
 
 
-def _automaton(V: tuple[int, ...], base: int) -> list[list[tuple[int, int]]]:
-    """The difference automaton over the digits V, built once by a walk from the empty set:
-    row i holds the edges (c, j) of state i, one for each digit c whose next set does not
-    hold 0.  State 0 is the empty set; the others are numbered as the walk first meets them."""
+def _automaton(V: tuple[int, ...], base: int) -> list[list[int]]:
+    """The difference automaton over the digits V as its integer matrix A, built once by a walk from
+    the empty set: A[i][j] counts the digits that lead from state i to state j, a next set without
+    0.  State 0 is the empty set; the others are numbered as the walk first meets them."""
     span = V[-1] - V[0]
     states, rows = [frozenset()], []
     for S in states:  # the list grows while the walk numbers new states
-        row = []
+        row = [0] * (len(states) + len(V))  # each digit meets at most one new state
         for c in V:
             T = {base * d + e - c for d in S for e in V} | {e - c for e in V if e < c}
             T = frozenset(d for d in T if abs(d) * (base - 1) <= span)
             if 0 not in T:
                 if T not in states:
                     states.append(T)
-                row.append((c, states.index(T)))
+                row[states.index(T)] += 1
         rows.append(row)
-    return rows
+    return [row[:len(states)] for row in rows]
 
 
-def _levels(graph, start):
-    """Path counts one level at a time, without end: for k = 0, 1, ... the number of
-    length-k paths from `start` to each state they reach.  `graph` maps a state to its
-    edges [(label, next state)]; a state with no edges ends its paths."""
-    level = {start: 1}
-    while True:
-        yield level
-        nxt = {}
-        for s, k in level.items():
-            for _, t in graph[s]:
-                nxt[t] = nxt.get(t, 0) + k
-        level = nxt
-
-
-def _cell_counts(V: tuple[int, ...], n_max: int, base: int) -> list[int]:
-    """Distinct values sum(c_k * base**(n-k)) over words of V**n, for n = 1..n_max.
+def _cell_counts(V: tuple[int, ...], base: int) -> Iterable[int]:
+    """Distinct values sum(c_k * base**(n-k)) over words of V**n, for n = 1, 2, ... without end.
 
     A word is counted when no lexicographically smaller word of the same
     length has its value.  Read left to right, a word w carries the set S of
@@ -81,22 +67,30 @@ def _cell_counts(V: tuple[int, ...], n_max: int, base: int) -> list[int]:
     {c' - c : c' in V, c' < c}, then filters.  Once 0 is in S the word ties a
     smaller one, and so do all its extensions, so those edges are dropped.
     The states form a finite automaton (the differences are bounded integers);
-    N(n) is the number of length-n paths from the empty set.
+    N(n) is the number of length-n paths from the empty set, the sum of the
+    count vector e_0 A**n over its matrix A, formed one level at a time.
     """
-    levels = itertools.islice(_levels(_automaton(V, base), 0), 1, n_max + 1)
-    return [sum(level.values()) for level in levels]
+    A = _automaton(V, base)
+    v = A[0]  # e_0 A: the paths of length 1
+    while True:
+        yield sum(v)
+        w = [0] * len(A)
+        for k, row in zip(v, A):
+            for j, m in enumerate(row):
+                w[j] += k * m
+        v = w
 
 
 def count_cells(digit_set: Iterable[int], n: int, base: int = 3) -> int:
     """Number of distinct level-n cells: values sum(c_k * base**(n-k)) over words.
 
     Exact at every level n >= 1; the time grows linearly in n (times the
-    length of the counts, which have about n digits).
+    length of the counts, which have about n digits), the memory linearly.
     """
     V = _checked_digit_set(digit_set, base)
     if n < 1:
         raise ValueError("level must be positive")
-    return _cell_counts(V, n, base)[-1]
+    return next(itertools.islice(_cell_counts(V, base), n - 1, None))
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ def box_dimension(digit_set: Iterable[int], n_max: int, base: int = 3) -> Dimens
     V = _checked_digit_set(digit_set, base)
     if n_max < 3:
         raise ValueError("n_max must be at least 3: the fit needs two levels above n_max/2")
-    counts = _cell_counts(V, n_max, base)
+    counts = list(itertools.islice(_cell_counts(V, base), n_max))
     levels = list(range(1, n_max + 1))
     logs = [math.log(c) / math.log(base) for c in counts]
     xs = levels[n_max // 2:]
@@ -136,13 +130,12 @@ def box_dimension(digit_set: Iterable[int], n_max: int, base: int = 3) -> Dimens
 
 def dimension_target(digit_set: Iterable[int]) -> float:
     """Dimension of the base-3 expansion set over the given digits, computed as log3 of the
-    growth rate of its cell counts: the largest eigenvalue of the difference automaton's
-    integer matrix.  For any subset of {0,1,2,3} the automaton has at most two states,
-    so the eigenvalue is the closed form for a 2x2 matrix [[a, b], [c, d]]."""
-    rows = _automaton(_checked_digit_set(digit_set, 3), 3)
-    rows += [[]] * (2 - len(rows))  # pad one state with an idle one; a third fails to unpack
-    (a, b), (c, d) = ([sum(j == k for _, j in row) for k in (0, 1)] for row in rows)
-    return math.log((a + d + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2, 3)
+    growth rate of its cell counts: the largest eigenvalue of the difference automaton's integer
+    matrix A.  For any subset of {0,1,2,3} A is at most 2x2, so that is (tr + sqrt(tr**2 - 4 det)) / 2."""
+    A = _automaton(_checked_digit_set(digit_set, 3), 3)
+    tr = sum(row[i] for i, row in enumerate(A))
+    det = A[0][0] * A[-1][-1] - A[0][-1] * A[-1][0]  # 0 for one state, whose eigenvalue is tr
+    return math.log((tr + math.sqrt(tr * tr - 4 * det)) / 2, 3)
 
 
 def eggleston_dimension(frequencies: Sequence) -> float:

@@ -513,6 +513,8 @@ def test_repr_of_a_value_with_a_long_period_exits_1_at_once(capsys):
     ("levelset", "0303030303030303030303030303030303(12)"),
     ("repr", "03" * 100 + "(12)"),             # about 4.5e41 expansions
     ("levelset", "03" * 13 + "(12)"),          # 196,418, the first past digits._WALK_STATES
+    ("repr", "(0)", "--depth", "1000000000000"),  # one word, but past digits._LISTED_DIGITS
+    ("levelset", "(0)", "--depth", "1000000000000"),
 ])
 def test_repr_and_levelset_domain_errors_exit_1_before_output(capsys, argv):
     start = time.perf_counter()

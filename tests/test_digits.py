@@ -659,6 +659,18 @@ def test_listing_ceiling_is_exact(monkeypatch):
     assert len(D.admissible_prefixes(F(1, 2), 4)) == 5
     with pytest.raises(ValueError):
         D.admissible_prefixes(F(1, 2), 5)
+    # and by its digits: 4 words of 3 digits fit in 12, 5 words of 4 do not, nor a depth of 13
+    monkeypatch.setattr(D, "_LISTED_DIGITS", 12)
+    assert len(D.admissible_prefixes(F(1, 2), 3)) == 4
+    assert len(D.enumerate_representations(D.parse("(1)"), 3)) == 4
+    assert D.admissible_prefixes(0, 12) == [(0,) * 12]
+    assert D.enumerate_representations(D.parse("(0)"), 12) == [D.parse("(0)")]
+    for listing in (lambda: D.admissible_prefixes(F(1, 2), 4),
+                    lambda: D.enumerate_representations(D.parse("(1)"), 4),
+                    lambda: D.admissible_prefixes(0, 13),
+                    lambda: D.enumerate_representations(D.parse("(0)"), 13)):
+        with pytest.raises(ValueError):
+            listing()
 
 
 def test_listing_a_long_countable_census_is_not_cubic():

@@ -2,8 +2,9 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -44,14 +45,39 @@ _FIRST_SIX = [(1, 2), (0, 3), (0, 1, 3), (0, 2, 3), (0, 1, 2), (0, 1, 2, 3)]
 _SUBSETS = [c for r in (1, 2, 3, 4) for c in combinations(range(4), r)]
 
 
-@pytest.mark.parametrize("V", _FIRST_SIX + [V for V in _SUBSETS if V not in _FIRST_SIX])
-def test_count_cells_against_brute_force(V):
+# the base-3 sets keep their ids V0-V14; every digit set of bases 2 and 4 follows
+_BRUTE_SETS = ([(V, 3) for V in _FIRST_SIX + [V for V in _SUBSETS if V not in _FIRST_SIX]]
+               + [(V, base) for base in (2, 4) for r in range(1, base + 2)
+                  for V in combinations(range(base + 1), r)])
+
+
+@pytest.mark.parametrize("V, base", _BRUTE_SETS, ids=[f"V{i}" for i in range(len(_BRUTE_SETS))])
+def test_count_cells_against_brute_force(V, base):
     for n in range(1, 8):
-        assert Fr.count_cells(V, n) == _brute_count(V, n)
+        assert Fr.count_cells(V, n, base) == _brute_count(V, n, base)
+
+
+def test_count_cells_over_three_states():
+    # base 2 over (0, 1, 2) hits every integer from 0 to 2**(n+1) - 2, through three states
+    assert len(Fr._automaton((0, 1, 2), 2)) == 3
+    for n in range(1, 11):
+        assert Fr.count_cells((0, 1, 2), n, base=2) == _brute_count((0, 1, 2), n, 2)
+    assert Fr.count_cells((0, 1, 2), 500, base=2) == 2 ** 501 - 1
+
+
+def test_count_cells_keeps_one_level():
+    # N(20000) has about 4 KB; a count of every level up to it would hold about 40 MB
+    tracemalloc.start()
+    try:
+        assert Fr.count_cells((0, 1, 2, 3), 20000) == (3 ** 20001 - 1) // 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_cell_counts_base_16_against_brute_force():
-    assert Fr._cell_counts((3, 4), 7, 16) == [_brute_count((3, 4), n, 16) for n in range(1, 8)]
+    assert list(islice(Fr._cell_counts((3, 4), 16), 7)) == [_brute_count((3, 4), n, 16) for n in range(1, 8)]
 
 
 def _fibonacci(m):
@@ -73,7 +99,7 @@ def test_count_cells_deep_levels():
         assert Fr.count_cells((c,), n) == 1
     assert Fr.count_cells((3, 4), n, base=16) == 2 ** n
     for V in _SUBSETS:
-        n200, n201 = Fr._cell_counts(V, 201, 3)[-2:]
+        n200, n201 = islice(Fr._cell_counts(V, 3), 199, 201)
         assert abs(math.log(n201 / n200, 3) - Fr.dimension_target(V)) < 1e-6, V
 
 
@@ -156,6 +182,18 @@ def test_dimension_targets():
     assert Fr.dimension_target((0, 1, 2)) == 1.0
     assert Fr.dimension_target((0, 1, 2, 3)) == 1.0
     assert Fr.dimension_target((2,)) == 0.0
+    pinned = {
+        (0,): "0x0.0p+0", (1,): "0x0.0p+0", (2,): "0x0.0p+0", (3,): "0x0.0p+0",
+        (0, 1): "0x1.430939835353dp-1", (0, 2): "0x1.430939835353dp-1",
+        (0, 3): "0x1.430939835353dp-1", (1, 2): "0x1.430939835353dp-1",
+        (1, 3): "0x1.430939835353dp-1", (2, 3): "0x1.430939835353dp-1",
+        (0, 1, 2): "0x1.0000000000000p+0", (0, 1, 3): "0x1.c087c24dd2524p-1",
+        (0, 2, 3): "0x1.c087c24dd2524p-1", (1, 2, 3): "0x1.0000000000000p+0",
+        (0, 1, 2, 3): "0x1.0000000000000p+0",
+    }
+    assert sorted(pinned) == sorted(_SUBSETS)
+    for V in _SUBSETS:
+        assert Fr.dimension_target(V).hex() == pinned[V], V
 
 
 def test_eggleston_dimension():
