@@ -53,11 +53,12 @@ def _float(x, name: str) -> float:
 
 def cmd_repr(args) -> int:
     if "/" in args.digitstring:  # a value a/b stands for its lexicographically largest expansion
-        d = digits.largest_expansion(args.digitstring)
+        value = digits._fraction(args.digitstring)
+        d = digits.largest_expansion(value)
     else:
         d = digits.parse(args.digitstring)
-    card, expand = digits._census(d)  # one walk of the residual graph serves both parts
-    value = digits.evaluate(d)
+        value = digits.evaluate(d)
+    card, expand = digits._census(value)  # one walk of the residual graph serves both parts
     out = {
         "schema": SCHEMA,
         "input": str(d),
@@ -70,7 +71,7 @@ def cmd_repr(args) -> int:
     if card.kind is not digits.Cardinality.CONTINUUM:
         depth = args.depth if args.depth is not None else len(d.preperiod) + 6
         out["depth"] = depth
-        out["representations"] = [str(r) for r in expand(depth)]
+        out["representations"] = [str(r) for r in expand(depth, len(d.preperiod))]
     print(json.dumps(out))
     return 0
 

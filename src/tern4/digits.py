@@ -188,17 +188,19 @@ def rewrite_sites(d: DigitString, horizon: int) -> list[RewriteSite]:
 
 
 def apply_rewrite(d: DigitString, site: RewriteSite) -> DigitString:
-    """Apply a pair substitution; the value is unchanged and the result canonical."""
+    """Apply a pair substitution; the value is unchanged and the result canonical.
+
+    The pair is replaced within the first n = max(position + 1, len(preperiod)) digits, which become
+    the preperiod, and the period follows, rotated to depth n.  A finite word has its sites inside
+    it, so there n is its length and the first n digits are the word."""
     if site not in rewrite_sites(d, site.position):
         raise ValueError(f"no rewrite {site} at position {site.position} of {d}")
     k = site.position
-    if d.period is None:
-        head = list(d.preperiod)
-        head[k - 1:k + 1] = site.dst
-        return DigitString(tuple(head))
     n = max(k + 1, len(d.preperiod))
     head = list(d.expand(n))
     head[k - 1:k + 1] = site.dst
+    if d.period is None:
+        return DigitString(tuple(head))
     shift = (n - len(d.preperiod)) % len(d.period)
     return DigitString(tuple(head), d.period[shift:] + d.period[:shift])
 
@@ -267,7 +269,10 @@ _EDGES = tuple((((t - 1, 1),) * (t > 0 and up) + ((t, 0),),
 
 def _walk(n: int, q: int, m: int) -> bytearray:
     """The first m levels of the remainder walk from state n, one code per level: t + 3 * (2r' <= q)
-    for t, r' = divmod(3r, q), the level's t and whether the next level has an upper state."""
+    for t, r' = divmod(3r, q), the level's t and whether the next level has an upper state.  Every
+    walk is allocated here, so a depth past `_LISTED_DIGITS` raises ValueError before its levels."""
+    if m > _LISTED_DIGITS:
+        raise ValueError(f"depth {m} is past the {_LISTED_DIGITS} levels a walk may take")
     codes, r = bytearray(m), n % q
     for k in range(m):
         t, r = divmod(3 * r, q)
@@ -315,17 +320,13 @@ def _counts(codes: bytearray, s: int, cap: int | None = None) -> tuple[int, int]
 def _paths(n: int, q: int, m: int) -> list[tuple[tuple[int, ...], int, int]]:
     """Each length-m path from state n as (digit word, 0 or 1: it ends on the lower or the upper
     state, the depth where its final run on states of that kind starts), in lexicographic order,
-    spelled once each by one depth-first walk of the lower/upper flag over the levels' edges.  A
-    depth past `_LISTED_DIGITS` raises ValueError before the walk; more than `_WALK_STATES` paths,
-    or more than `_LISTED_DIGITS` digits over them, raise it before any word is spelled (there are
-    at most 2**m paths, so they are counted only past that)."""
-    if m > _LISTED_DIGITS:
-        raise ValueError(f"depth {m} is past the {_LISTED_DIGITS} digits a listing may spell")
+    spelled once each by one depth-first walk of the lower/upper flag over the levels' edges.  More
+    than `_LISTED_DIGITS` digits over the paths raise ValueError before any word is spelled (there
+    are at most 2**m paths, so they are counted only past that)."""
     codes, s = _walk(n, q, m), int(n >= q)
-    most = min(_WALK_STATES, _LISTED_DIGITS // max(m, 1))  # the paths both bounds let through
+    most = _LISTED_DIGITS // max(m, 1)
     if 2 ** m > most < sum(_counts(codes, s, most + 1)):
-        raise ValueError(f"more than {most} paths of length {m} to list: the bounds are "
-                         f"{_WALK_STATES} paths and {_LISTED_DIGITS} digits")
+        raise ValueError(f"more than {most} paths of length {m} to list, past {_LISTED_DIGITS} digits")
     found, word, todo, e = [], [], [], 0
     while True:
         for k in range(len(word), m):  # follow the smaller digit, keep the other edge for later
@@ -358,8 +359,8 @@ def _largest(codes: bytearray, upper: bool) -> tuple[int, ...]:
 #: the text of a number from outside: ASCII 'a/b' or a decimal, an optional sign, no whitespace
 _NUMBER = re.compile(r"[-+]?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d{1,4})?)", re.ASCII)
 _SUM_TOL = 1e-12  # accepted drift from 1 of a sum of weights when one of them is inexact
-_WALK_STATES = 2 ** 17  # most digits in largest_expansion's P + L (1/10**6: 50000), most paths listed
-_LISTED_DIGITS = 2 ** 20  # most digits a listing spells, its paths times their length
+_WALK_STATES = 2 ** 17  # most digits in largest_expansion's P + L (1/10**6: 50000)
+_LISTED_DIGITS = 2 ** 20  # most levels a walk takes, and most digits a listing spells over its paths
 
 
 def _fraction(x) -> Fraction:
@@ -461,16 +462,15 @@ def classify_cardinality(d: DigitString) -> ReprCardinality:
     continuum; more paths of length P + 2L than of P + L leave a cycle, countably many;
     else the paths of length P + L are the expansions: one is unique, more finitely many.
     """
-    return _census(d)[0]
+    return _census(evaluate(d))[0]
 
 
-def _census(d: DigitString) -> tuple[ReprCardinality, Callable[[int], list[DigitString]]]:
-    """Cardinality of the value of d, and `expand`: expand(m) is enumerate_representations(d, m),
-    read from the same walk of the residual graph."""
-    if d.period is None:
-        raise ValueError("classification needs an eventually periodic digit string")
-    n0, q = _state(evaluate(d))
-    least = len(d.preperiod)  # the shallowest depth a listing takes
+def _census(x) -> tuple[ReprCardinality, Callable[[int, int], list[DigitString]]]:
+    """Cardinality of x in [0, 3/2], and `expand`: expand(m, least) lists the expansions of x whose
+    canonical preperiod is at most m digits, read from the same walk of the residual graph, and
+    refuses m below `least`, the preperiod of the string the caller read x from.  P + L past
+    `_LISTED_DIGITS` raises ValueError, from `_walk`."""
+    n0, q = _state(x)
     # r -> 3r mod q, of digit 3r // q, is always an edge, so the lower states from depth P make a cycle.
     P, L = _period(n0, q)
     codes = _walk(n0, q, P + L)
@@ -498,7 +498,7 @@ def _census(d: DigitString) -> tuple[ReprCardinality, Callable[[int], list[Digit
         if r1 and d:
             cycles[1] = tuple(code % 3 + 2 for code in codes[P:])
 
-    def expand(m: int) -> list[DigitString]:
+    def expand(m: int, least: int) -> list[DigitString]:
         """Each length-m path that ends on a cycle, spelled as its digits before its final run on
         the cycle, which starts at depth e >= P, and the cycle's block from the state at depth e.
 
@@ -531,4 +531,4 @@ def enumerate_representations(d: DigitString, m: int) -> list[DigitString]:
     ends on a cycle is completed by that cycle's block; results are canonical
     and sorted by preperiod length then digits.
     """
-    return _census(d)[1](m)
+    return _census(evaluate(d))[1](m, len(d.preperiod))

@@ -188,12 +188,13 @@ def level_set(y: DigitString, depth: int) -> LevelSet:
     continuum levels the independently rewritable pairs of the repeating block
     are reported instead.
     """
-    card, expand = digits._census(y)  # one walk of the residual graph serves both parts
+    card, expand = digits._census(digits.evaluate(y))  # one walk of the residual graph for both
     if card.kind is Cardinality.CONTINUUM:
         # the pairs of the block read cyclically: the last digit pairs with the first
         sites = digits.rewrite_sites(DigitString((), y.period), len(y.period))
         return LevelSet(card, constraints=tuple((r.position, r.src, r.dst) for r in sites))
-    return LevelSet(card, members=tuple(digits.evaluate(r, base=4) for r in expand(depth)))
+    members = expand(depth, len(y.preperiod))
+    return LevelSet(card, members=tuple(digits.evaluate(r, base=4) for r in members))
 
 
 #: base-16 digits 4a+b packed from the continuation pairs (a,b) in {(1,0),(0,3)}

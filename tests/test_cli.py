@@ -457,6 +457,7 @@ def test_series_greedy_zero_denominator_exits_1(capsys):
     # Fraction takes spaces around "/" from Python 3.12 and underscores from 3.11; tern4 takes neither
     ("classify", "1 / 4", "1/4", "1/4", "1/4"),
     ("classify", "1_0/40", "1/4", "1/4", "1/4"),
+    ("series", "--greedy", "1/2", "--nmax", "1000000000000"),  # a walk past 2**20 levels
 ])
 def test_series_and_classify_domain_errors_exit_1_before_output(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -512,8 +513,8 @@ def test_repr_of_a_value_with_a_long_period_exits_1_at_once(capsys):
     ("repr", "0303030303030303030303030303030303(12)"),  # 3,524,578 expansions: too many to list
     ("levelset", "0303030303030303030303030303030303(12)"),
     ("repr", "03" * 100 + "(12)"),             # about 4.5e41 expansions
-    ("levelset", "03" * 13 + "(12)"),          # 196,418, the first past digits._WALK_STATES
-    ("repr", "(0)", "--depth", "1000000000000"),  # one word, but past digits._LISTED_DIGITS
+    ("levelset", "03" * 13 + "(12)"),          # 196,418 words of 32 digits, past digits._LISTED_DIGITS
+    ("repr", "(0)", "--depth", "1000000000000"),  # one word, but a walk past digits._LISTED_DIGITS
     ("levelset", "(0)", "--depth", "1000000000000"),
 ])
 def test_repr_and_levelset_domain_errors_exit_1_before_output(capsys, argv):
@@ -550,6 +551,17 @@ def test_repr_and_levelset_walk_the_residual_graph_once(capsys, monkeypatch, arg
     monkeypatch.setattr(digits, "_census", lambda d: calls.append(d) or census(d))
     run_json(capsys, *argv)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, evaluated", [(("repr", "245/648"), 0), (("repr", "1010(12)"), 1)])
+def test_repr_evaluates_its_input_at_most_once(capsys, monkeypatch, argv, evaluated):
+    # a value a/b is read as it is given; a digit string is evaluated once, for the census and the
+    # printed value both
+    calls = []
+    evaluate = digits.evaluate
+    monkeypatch.setattr(digits, "evaluate", lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+    run_json(capsys, *argv)
+    assert len(calls) == evaluated
 
 
 def test_series_value_too_long_to_print_fails_before_output(capsys):

@@ -55,6 +55,7 @@ def test_parse_rejects(bad):
     lambda: ReprCardinality(Cardinality.FINITE, 1),
     lambda: ReprCardinality(Cardinality.UNIQUE, 3),
     lambda: D.parse("12(3)").expand(-1),
+    lambda: D.count_expansion_prefixes(F(1, 2), 10 ** 12),  # a walk past 2**20 levels, not allocated
 ])
 def test_refusals_raise_value_error(call):
     with pytest.raises(ValueError):
@@ -560,7 +561,7 @@ def test_enumeration_members_verify_by_value():
 
 
 # ---------------------------------------------------------------------------
-# deep and long inputs: the walk has no recursion and no depth or state cap
+# deep and long inputs: the walk has no recursion and no state cap, and its depth is bounded
 
 def test_count_expansion_prefixes_deep():
     # from 1/2 a prefix is 1^k, or 1^k 0 followed by 3s: k + 1 words of length k
@@ -643,7 +644,7 @@ def test_listing_refuses_more_paths_than_the_ceiling_at_once():
     # "03" * k + "(12)" has Fibonacci many expansions: 75,025 at k = 12, 196,418 at k = 13,
     # and about 4.5e41 at k = 100; each is refused before a word is spelled
     start = time.perf_counter()
-    assert D.count_expansion_prefixes(D.evaluate(D.parse("03" * 12 + "(12)")), 30) <= D._WALK_STATES
+    assert D.count_expansion_prefixes(D.evaluate(D.parse("03" * 12 + "(12)")), 30) == 75025
     for k in (13, 100):
         d = D.parse("03" * k + "(12)")
         with pytest.raises(ValueError, match="paths"):
@@ -654,12 +655,8 @@ def test_listing_refuses_more_paths_than_the_ceiling_at_once():
 
 
 def test_listing_ceiling_is_exact(monkeypatch):
-    # from 1/2 there are k + 1 prefixes of length k
-    monkeypatch.setattr(D, "_WALK_STATES", 5)
-    assert len(D.admissible_prefixes(F(1, 2), 4)) == 5
-    with pytest.raises(ValueError):
-        D.admissible_prefixes(F(1, 2), 5)
-    # and by its digits: 4 words of 3 digits fit in 12, 5 words of 4 do not, nor a depth of 13
+    # from 1/2 there are k + 1 prefixes of length k: 4 words of 3 digits fit in 12 digits, 5 words
+    # of 4 do not, nor a depth of 13
     monkeypatch.setattr(D, "_LISTED_DIGITS", 12)
     assert len(D.admissible_prefixes(F(1, 2), 3)) == 4
     assert len(D.enumerate_representations(D.parse("(1)"), 3)) == 4
@@ -691,10 +688,10 @@ def test_listed_expansions_are_spelled_canonical_exhaustive():
     words = [w for n in range(4) for w in product(range(4), repeat=n)]
     listed = 0
     for d in {DigitString(pre, per) for pre in words for per in words if per}:
-        card, expand = D._census(d)
+        card, expand = D._census(D.evaluate(d))
         if card.kind is not Cardinality.CONTINUUM:
             for m in range(len(d.preperiod), len(d.preperiod) + 8):
-                for r in expand(m):
+                for r in expand(m, len(d.preperiod)):
                     assert r == DigitString(r.preperiod, r.period), (d, m, r)
                     listed += 1
     assert listed == 27056
@@ -707,7 +704,7 @@ def test_census_of_a_long_continuum_peaks_small_and_keeps_nothing():
     assert len(d.period) == 10038
     tracemalloc.start()
     try:
-        card, expand = D._census(d)
+        card, expand = D._census(D.evaluate(d))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import accumulate
 
@@ -37,8 +38,13 @@ def test_term_plus_remainder_consistency():
 
 
 def test_kakeya_check():
-    assert S.kakeya_check(1)
-    assert S.kakeya_check(100)
+    # u_n <= r_n compared term by term up to n_max, apart from the library's reduction to n <= 3
+    for n_max in range(1, 301):
+        loop = all(S.series_term(n) <= S.series_remainder(n) for n in range(1, n_max + 1))
+        assert S.kakeya_check(n_max) == loop, n_max
+    start = time.perf_counter()
+    assert S.kakeya_check(10 ** 12)
+    assert time.perf_counter() - start < 1
 
 
 def test_subsum():
@@ -91,7 +97,8 @@ def test_non_finite_values_raise_value_error(f, x):
 
 
 @pytest.mark.parametrize("call", [lambda: S.series_remainder(-1), lambda: S.kakeya_check(0),
-                                  lambda: S.greedy_approximate(F(1, 2), 0)])
+                                  lambda: S.greedy_approximate(F(1, 2), 0),
+                                  lambda: S.greedy_approximate(F(1, 2), 10 ** 12)])
 def test_bad_indices_and_lengths_raise_value_error(call):
     with pytest.raises(ValueError):
         call()
